@@ -5,8 +5,10 @@
 //! [`LinearHook`] interface and:
 //!
 //! 1. executes every linear layer in the quantized integer domain (A8W8,
-//!    §VI-A) — convolutions via im2col, FC directly, attention matmuls on
-//!    two quantized operands;
+//!    §VI-A) — convolutions quantize their raw input once and feed its
+//!    `i8` im2col expansion straight to the integer matmul, FC layers
+//!    quantize their input directly, attention matmuls run on two
+//!    quantized operands;
 //! 2. maintains per-layer *grid-pinned* activation scales so temporal
 //!    differences are exact integer subtractions (the Encoding Unit's
 //!    subtractor, Fig. 11);
@@ -15,7 +17,16 @@
 //!    bit-identical to dense integer execution — asserted in tests;
 //! 4. records the [`WorkloadTrace`] of per-layer, per-step bit-width
 //!    histograms that drives every analysis figure and the hardware
-//!    simulator.
+//!    simulator. The histograms count classes branch-free over the
+//!    operand levels, and classify temporal and spatial differences
+//!    without materializing them.
+//!
+//! Across steps each layer keeps its previous operand levels (both
+//! policies: the temporal histogram needs them). Only
+//! [`ExecPolicy::TemporalDelta`] also keeps the previous output
+//! accumulators, and rebuilds them when a grid boundary re-quantizes the
+//! stored operand; [`ExecPolicy::Dense`] never reads them, so it keeps
+//! none.
 //!
 //! The integer kernels the hook drives (`quant::kernels::*`) dispatch
 //! through the pluggable kernel-backend layer (`tensor::backend`:
@@ -26,6 +37,7 @@
 //! changes tracing speed.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use diffusion::{DiffusionModel, LayerOp, LinearHook, Node, NodeId, StepInfo};
 use quant::kernels::{attention_delta_scores, delta_matmul_update, int_matmul, widen};
@@ -42,19 +54,23 @@ use crate::trace::{LayerMeta, LinearKind, StepStats, SubOp, WorkloadTrace};
 const DYNAMIC_GRID_HEADROOM: f32 = 1.25;
 
 /// How [`DittoHook`] computes linear-layer outputs. Both policies are
-/// numerically identical (difference processing is exact, §IV-A); the
-/// temporal policy actually walks the three-stage path of Fig. 7.
+/// numerically identical (difference processing is exact, §IV-A) and
+/// record the same [`WorkloadTrace`]; the temporal policy actually walks
+/// the three-stage path of Fig. 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPolicy {
     /// Dense integer matmuls — fastest host execution for trace capture.
+    /// Per layer it keeps only the previous step's operand levels, which
+    /// the temporal statistics need.
     Dense,
     /// Stage-1/2/3 temporal difference processing from the second model
-    /// call onward.
+    /// call onward. Per layer it additionally keeps the previous step's
+    /// output accumulators, which the delta update starts from.
     TemporalDelta,
 }
 
 /// Quantized weight cache entry for a conv/FC layer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct QWeight {
     /// `[k, n]` weight levels (k = reduction dim).
     data: Vec<i8>,
@@ -64,6 +80,49 @@ struct QWeight {
     bias: Option<Vec<f32>>,
 }
 
+impl QWeight {
+    /// Quantizes a conv/FC layer's weights into `[k, n]` levels.
+    fn of(node: &Node) -> Self {
+        match &node.op {
+            LayerOp::Conv2d { weight, bias, params } => {
+                let c_out = weight.dims()[0];
+                let k_red = weight.dims()[1] * params.kernel * params.kernel;
+                // Reshape [C_out, C_in*K*K] → transpose to [k, n].
+                let q = QTensor::quantize_dynamic(weight);
+                let mut data = vec![0i8; k_red * c_out];
+                for co in 0..c_out {
+                    for kk in 0..k_red {
+                        data[kk * c_out + co] = q.data()[co * k_red + kk];
+                    }
+                }
+                QWeight {
+                    data,
+                    scale: q.scale(),
+                    k: k_red,
+                    n: c_out,
+                    bias: bias.as_ref().map(|b| b.as_slice().to_vec()),
+                }
+            }
+            LayerOp::Linear { weight, bias } => {
+                let q = QTensor::quantize_dynamic(weight);
+                QWeight {
+                    scale: q.scale(),
+                    data: q.into_data(),
+                    k: weight.dims()[0],
+                    n: weight.dims()[1],
+                    bias: bias.as_ref().map(|b| b.as_slice().to_vec()),
+                }
+            }
+            _ => unreachable!("attention matmuls have no weights"),
+        }
+    }
+
+    /// Bias of output channel `co` (zero for a bias-free layer).
+    fn bias(&self, co: usize) -> f32 {
+        self.bias.as_ref().map_or(0.0, |b| b[co])
+    }
+}
+
 /// Per-layer mutable state across steps.
 #[derive(Debug, Clone, Default)]
 struct LayerState {
@@ -71,7 +130,8 @@ struct LayerState {
     grid: Option<f32>,
     /// Pinned grid of the secondary operand (attention only).
     grid2: Option<f32>,
-    /// Previous-step primary operand levels (im2col domain for convs).
+    /// Previous-step primary operand levels (im2col domain for convs),
+    /// kept under both policies for the temporal statistics.
     prev_a: Vec<i8>,
     /// Grid scale `prev_a` (and `prev_acc`) were produced on.
     prev_a_grid: f32,
@@ -79,7 +139,8 @@ struct LayerState {
     prev_b: Vec<i8>,
     /// Grid scale `prev_b` was produced on.
     prev_b_grid: f32,
-    /// Previous-step output accumulators.
+    /// Previous-step output accumulators ([`ExecPolicy::TemporalDelta`]
+    /// only; empty under [`ExecPolicy::Dense`], which never reads them).
     prev_acc: Vec<i32>,
 }
 
@@ -91,13 +152,19 @@ fn regrid_levels(levels: &[i8], old: f32, new: f32) -> Vec<i8> {
     levels.iter().map(|&v| (v as f32 * ratio).round().clamp(-127.0, 127.0) as i8).collect()
 }
 
+/// The Encoding Unit's subtractor output `cur - prev`, widened for the
+/// difference kernels.
+fn diff_i16(cur: &[i8], prev: &[i8]) -> Vec<i16> {
+    cur.iter().zip(prev).map(|(&c, &p)| c as i16 - p as i16).collect()
+}
+
 /// The Ditto execution hook. See the module docs.
 #[derive(Debug)]
 pub struct DittoHook {
     quantizer: Quantizer,
     policy: ExecPolicy,
     boundaries: HashMap<NodeId, LayerBoundary>,
-    weights: HashMap<NodeId, QWeight>,
+    weights: HashMap<NodeId, Arc<QWeight>>,
     states: HashMap<NodeId, LayerState>,
     layer_index: HashMap<NodeId, usize>,
     metas: Vec<LayerMeta>,
@@ -162,44 +229,10 @@ impl DittoHook {
         s
     }
 
-    fn quantize_weight(&mut self, node: &Node) -> QWeight {
-        if let Some(w) = self.weights.get(&node.id) {
-            return w.clone();
-        }
-        let qw = match &node.op {
-            LayerOp::Conv2d { weight, bias, params } => {
-                let c_out = weight.dims()[0];
-                let k_red = weight.dims()[1] * params.kernel * params.kernel;
-                // Reshape [C_out, C_in*K*K] → transpose to [k, n].
-                let q = QTensor::quantize_dynamic(weight);
-                let mut data = vec![0i8; k_red * c_out];
-                for co in 0..c_out {
-                    for kk in 0..k_red {
-                        data[kk * c_out + co] = q.data()[co * k_red + kk];
-                    }
-                }
-                QWeight {
-                    data,
-                    scale: q.scale(),
-                    k: k_red,
-                    n: c_out,
-                    bias: bias.as_ref().map(|b| b.as_slice().to_vec()),
-                }
-            }
-            LayerOp::Linear { weight, bias } => {
-                let q = QTensor::quantize_dynamic(weight);
-                QWeight {
-                    data: q.data().to_vec(),
-                    scale: q.scale(),
-                    k: weight.dims()[0],
-                    n: weight.dims()[1],
-                    bias: bias.as_ref().map(|b| b.as_slice().to_vec()),
-                }
-            }
-            _ => unreachable!("attention matmuls have no weights"),
-        };
-        self.weights.insert(node.id, qw.clone());
-        qw
+    /// The layer's quantized weights, quantized on first use and shared
+    /// thereafter.
+    fn quantize_weight(&mut self, node: &Node) -> Arc<QWeight> {
+        Arc::clone(self.weights.entry(node.id).or_insert_with(|| Arc::new(QWeight::of(node))))
     }
 
     fn boundary(&self, node: NodeId) -> (bool, bool, Vec<String>, Vec<String>) {
@@ -263,10 +296,13 @@ impl DittoHook {
         row[layer_idx] = stats;
     }
 
-    /// Executes a conv/FC layer in the integer domain and records stats.
+    /// Executes a conv/FC layer in the integer domain, records its stats
+    /// and returns the `[m, n]` output accumulators (scale `grid *
+    /// qw.scale`).
     ///
-    /// `operand` is the flattened `[m, k]` classified operand (im2col for
-    /// convs), `raw_in_elems` the raw input tensor size for byte
+    /// `levels` is the flattened `[m, k]` operand (im2col for convs)
+    /// already quantized on `grid`; it becomes the layer's stored previous
+    /// operand. `raw_in_elems` is the raw input tensor size for byte
     /// accounting.
     #[allow(clippy::too_many_arguments)]
     fn run_weighted(
@@ -274,14 +310,14 @@ impl DittoHook {
         node: &Node,
         step: usize,
         kind: LinearKind,
-        operand_f32: &Tensor, // [m, k]
+        levels: Vec<i8>, // [m, k]
+        grid: f32,
         raw_in_elems: u64,
         qw: &QWeight,
-    ) -> (Vec<i32>, f32) {
-        let m = operand_f32.dims()[0];
+    ) -> Vec<i32> {
         let (k, n) = (qw.k, qw.n);
-        let grid = self.grid_scale(node.id, step, operand_f32, false);
-        let qa = QTensor::quantize_with_scale(operand_f32, grid);
+        let m = levels.len() / k;
+        debug_assert_eq!(levels.len(), m * k, "operand shape");
         let macs = (m * k * n) as u64;
         let elems = (m * k) as u64;
         let idx = self.register_layer(
@@ -296,40 +332,38 @@ impl DittoHook {
             (m * n) as u64,
         );
 
+        let delta_policy = self.policy == ExecPolicy::TemporalDelta;
         let st = self.states.entry(node.id).or_default();
-        let has_prev = st.prev_a.len() == qa.len();
+        let has_prev = st.prev_a.len() == levels.len();
         // Grid boundary (Q-Diffusion cluster change / TDQ step change):
         // re-quantize the stored previous operand onto the current grid
-        // and rebuild its accumulators so the difference stays exact.
+        // (and, for the delta path, rebuild its accumulators) so the
+        // difference stays exact.
         if has_prev && st.prev_a_grid != grid {
             st.prev_a = regrid_levels(&st.prev_a, st.prev_a_grid, grid);
-            st.prev_acc = int_matmul(&widen(&st.prev_a), &qw.data, m, k, n);
-            st.prev_a_grid = grid;
+            if delta_policy {
+                st.prev_acc = int_matmul(&widen(&st.prev_a), &qw.data, m, k, n);
+            }
         }
         // Statistics under the three processing views.
-        let act = BitWidthHistogram::from_activations(qa.data());
-        let spa = spatial_hist(qa.data(), m, k);
-        let (temporal, deltas) = if has_prev {
-            let d: Vec<i16> =
-                qa.data().iter().zip(&st.prev_a).map(|(&c, &p)| c as i16 - p as i16).collect();
-            (Some(vec![BitWidthHistogram::from_deltas(&d)]), Some(d))
-        } else {
-            (None, None)
-        };
+        let act = BitWidthHistogram::from_activations(&levels);
+        let spa = spatial_hist(&levels, m, k);
+        let temporal = has_prev.then(|| vec![BitWidthHistogram::from_i8_diff(&levels, &st.prev_a)]);
 
         // Output accumulators: dense, or via the three-stage delta path.
-        let acc = match (&deltas, self.policy) {
-            (Some(d), ExecPolicy::TemporalDelta) => {
-                delta_matmul_update(&st.prev_acc, d, &qw.data, m, k, n)
-            }
-            _ => int_matmul(&widen(qa.data()), &qw.data, m, k, n),
+        let acc = if has_prev && delta_policy {
+            let d = diff_i16(&levels, &st.prev_a);
+            delta_matmul_update(&st.prev_acc, &d, &qw.data, m, k, n)
+        } else {
+            int_matmul(&widen(&levels), &qw.data, m, k, n)
         };
-        st.prev_a = qa.data().to_vec();
+        if delta_policy {
+            st.prev_acc.clone_from(&acc);
+        }
+        st.prev_a = levels;
         st.prev_a_grid = grid;
-        st.prev_acc = acc.clone();
-        let out_scale = grid * qw.scale;
         self.record_stats(step, idx, StepStats { act, spa, temporal });
-        (acc, out_scale)
+        acc
     }
 
     /// Executes an attention matmul (`Q·Kᵀ` or `P·V`) in the integer
@@ -351,20 +385,20 @@ impl DittoHook {
         };
         let grid_a = self.grid_scale(node.id, step, a_f32, false);
         let grid_b = self.grid_scale(node.id, step, b_f32, true);
-        let qa = QTensor::quantize_with_scale(a_f32, grid_a);
-        let qb = QTensor::quantize_with_scale(b_f32, grid_b);
+        let qa = QTensor::quantize_with_scale(a_f32, grid_a).into_data();
+        let qb = QTensor::quantize_with_scale(b_f32, grid_b).into_data();
         // Bring B into [red, n] layout for the matmul.
         let b_mat: Vec<i8> = if b_is_transposed {
             // K is [n, red] → transpose.
             let mut t = vec![0i8; red * n];
             for r in 0..n {
                 for c in 0..red {
-                    t[c * n + r] = qb.data()[r * red + c];
+                    t[c * n + r] = qb[r * red + c];
                 }
             }
             t
         } else {
-            qb.data().to_vec()
+            qb
         };
 
         let macs = (m * red * n) as u64;
@@ -389,75 +423,64 @@ impl DittoHook {
             (m * n) as u64,
         );
 
+        let delta_policy = self.policy == ExecPolicy::TemporalDelta;
         let st = self.states.entry(node.id).or_default();
         let has_prev = st.prev_a.len() == qa.len() && st.prev_b.len() == b_mat.len();
         if has_prev && (st.prev_a_grid != grid_a || st.prev_b_grid != grid_b) {
             st.prev_a = regrid_levels(&st.prev_a, st.prev_a_grid, grid_a);
             st.prev_b = regrid_levels(&st.prev_b, st.prev_b_grid, grid_b);
-            let a16: Vec<i16> = st.prev_a.iter().map(|&v| v as i16).collect();
-            let b16: Vec<i16> = st.prev_b.iter().map(|&v| v as i16).collect();
-            st.prev_acc = quant::kernels::int_scores(&a16, &b16, m, red, n);
-            st.prev_a_grid = grid_a;
-            st.prev_b_grid = grid_b;
+            if delta_policy {
+                st.prev_acc =
+                    quant::kernels::int_scores(&widen(&st.prev_a), &widen(&st.prev_b), m, red, n);
+            }
         }
-        let act = BitWidthHistogram::from_activations(qa.data());
-        let spa = spatial_hist(qa.data(), m, red);
-        let (temporal, delta_pair) = if has_prev {
-            let da: Vec<i16> =
-                qa.data().iter().zip(&st.prev_a).map(|(&c, &p)| c as i16 - p as i16).collect();
-            let db: Vec<i16> =
-                b_mat.iter().zip(&st.prev_b).map(|(&c, &p)| c as i16 - p as i16).collect();
-            (
-                Some(vec![
-                    BitWidthHistogram::from_deltas(&db),
-                    BitWidthHistogram::from_deltas(&da),
-                ]),
-                Some((da, db)),
+        let act = BitWidthHistogram::from_activations(&qa);
+        let spa = spatial_hist(&qa, m, red);
+        let temporal = has_prev.then(|| {
+            vec![
+                BitWidthHistogram::from_i8_diff(&b_mat, &st.prev_b),
+                BitWidthHistogram::from_i8_diff(&qa, &st.prev_a),
+            ]
+        });
+
+        let acc = if has_prev && delta_policy {
+            // scores_t = prev + A_t·ΔB + ΔA·B_prev (§IV-A).
+            let (da, db) = (diff_i16(&qa, &st.prev_a), diff_i16(&b_mat, &st.prev_b));
+            attention_delta_scores(
+                &st.prev_acc,
+                &widen(&qa),
+                &da,
+                &widen(&st.prev_b),
+                &db,
+                m,
+                red,
+                n,
             )
         } else {
-            (None, None)
+            int_matmul(&widen(&qa), &b_mat, m, red, n)
         };
-
-        let acc = match (&delta_pair, self.policy) {
-            (Some((da, db)), ExecPolicy::TemporalDelta) => {
-                // scores_t = prev + A_t·ΔB + ΔA·B_prev (§IV-A).
-                let a_t = widen(qa.data());
-                let b_prev: Vec<i16> = st.prev_b.iter().map(|&v| v as i16).collect();
-                attention_delta_scores(&st.prev_acc, &a_t, da, &b_prev, db, m, red, n)
-            }
-            _ => int_matmul(&widen(qa.data()), &b_mat_as_i8(&b_mat), m, red, n),
-        };
-        st.prev_a = qa.data().to_vec();
+        if delta_policy {
+            st.prev_acc.clone_from(&acc);
+        }
+        st.prev_a = qa;
         st.prev_a_grid = grid_a;
         st.prev_b = b_mat;
         st.prev_b_grid = grid_b;
-        st.prev_acc = acc.clone();
         self.record_stats(step, idx, StepStats { act, spa, temporal });
         (acc, grid_a * grid_b, m, n)
     }
-}
-
-fn b_mat_as_i8(v: &[i8]) -> Vec<i8> {
-    v.to_vec()
 }
 
 /// Spatial (row-wise) difference histogram: first row classified at its
 /// activation bit-width, later rows as differences from the previous row —
 /// the Diffy method extended to FC/attention rows (§III-B).
 fn spatial_hist(data: &[i8], rows: usize, cols: usize) -> BitWidthHistogram {
-    let mut h = BitWidthHistogram::new();
     if rows == 0 || cols == 0 {
-        return h;
+        return BitWidthHistogram::new();
     }
-    for &v in &data[..cols] {
-        h.push(quant::BitWidthClass::of_i8(v));
-    }
-    for r in 1..rows {
-        for c in 0..cols {
-            let d = data[r * cols + c] as i16 - data[(r - 1) * cols + c] as i16;
-            h.push(quant::BitWidthClass::of(d));
-        }
-    }
+    let n = rows * cols;
+    let mut h = BitWidthHistogram::from_activations(&data[..cols]);
+    h.merge(&BitWidthHistogram::from_i8_diff(&data[cols..n], &data[..n - cols]));
     h
 }
 
@@ -469,25 +492,50 @@ fn im2col_i8(
     w: usize,
     p: Conv2dParams,
 ) -> (Vec<i8>, usize, usize) {
-    let ho = p.out_extent(h);
-    let wo = p.out_extent(w);
-    let k = p.kernel;
+    /// Copies one `K`-tap run with fixed-size moves instead of a
+    /// variable-length `memcpy`.
+    fn taps<const K: usize>(dst: &mut [i8], src: &[i8]) {
+        dst[..K].copy_from_slice(&src[..K]);
+    }
+    match p.kernel {
+        1 => im2col_with(data, c, h, w, p, taps::<1>),
+        3 => im2col_with(data, c, h, w, p, taps::<3>),
+        _ => im2col_with(data, c, h, w, p, <[i8]>::copy_from_slice),
+    }
+}
+
+/// [`im2col_i8`] with `copy` moving one kernel-width tap run. Each
+/// (output row, channel, kernel row) copies its input row once into a
+/// zero-padded buffer; every output pixel's run is then one copy from it,
+/// with no per-tap bounds test.
+fn im2col_with(
+    data: &[i8],
+    c: usize,
+    h: usize,
+    w: usize,
+    p: Conv2dParams,
+    copy: impl Fn(&mut [i8], &[i8]),
+) -> (Vec<i8>, usize, usize) {
+    let (ho, wo, k) = (p.out_extent(h), p.out_extent(w), p.kernel);
     let cols = c * k * k;
     let mut out = vec![0i8; ho * wo * cols];
-    for oy in 0..ho {
-        for ox in 0..wo {
-            let row = oy * wo + ox;
-            for ci in 0..c {
-                for ky in 0..k {
-                    let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                    for kx in 0..k {
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        let col = (ci * k + ky) * k + kx;
-                        if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                            out[row * cols + col] =
-                                data[ci * h * w + iy as usize * w + ix as usize];
-                        }
-                    }
+    if out.is_empty() {
+        return (out, ho * wo, cols);
+    }
+    let mut padded_row = vec![0i8; w + 2 * p.padding];
+    for (oy, band) in out.chunks_exact_mut(wo * cols).enumerate() {
+        for ci in 0..c {
+            for ky in 0..k {
+                let Some(iy) = (oy * p.stride + ky).checked_sub(p.padding).filter(|&iy| iy < h)
+                else {
+                    continue;
+                };
+                padded_row[p.padding..p.padding + w]
+                    .copy_from_slice(&data[(ci * h + iy) * w..][..w]);
+                let col0 = (ci * k + ky) * k;
+                for (ox, row) in band.chunks_exact_mut(cols).enumerate() {
+                    let x0 = ox * p.stride;
+                    copy(&mut row[col0..col0 + k], &padded_row[x0..x0 + k]);
                 }
             }
         }
@@ -515,21 +563,22 @@ impl LinearHook for DittoHook {
                 let qx = QTensor::quantize_with_scale(x, grid);
                 let (cols_mat, m, kdim) = im2col_i8(qx.data(), c, h, w, p);
                 debug_assert_eq!(kdim, qw.k);
-                let op_f32 = Tensor::from_vec(
-                    cols_mat.iter().map(|&v| v as f32 * grid).collect(),
-                    &[m, kdim],
-                )
-                .expect("im2col shape");
-                let (acc, out_scale) =
-                    self.run_weighted(node, s, LinearKind::Conv, &op_f32, (c * h * w) as u64, &qw);
+                let acc = self.run_weighted(
+                    node,
+                    s,
+                    LinearKind::Conv,
+                    cols_mat,
+                    grid,
+                    (c * h * w) as u64,
+                    &qw,
+                );
+                let out_scale = grid * qw.scale;
                 // [m, n] accumulators → [n, ho, wo] with bias.
-                let ho = p.out_extent(h);
-                let wo = p.out_extent(w);
                 let n = qw.n;
-                let mut out = Tensor::zeros(&[n, ho, wo]);
+                let mut out = Tensor::zeros(&[n, p.out_extent(h), p.out_extent(w)]);
                 let ov = out.as_mut_slice();
                 for co in 0..n {
-                    let b = qw.bias.as_ref().map_or(0.0, |bv| bv[co]);
+                    let b = qw.bias(co);
                     for pix in 0..m {
                         ov[co * m + pix] = acc[pix * n + co] as f32 * out_scale + b;
                     }
@@ -539,15 +588,16 @@ impl LinearHook for DittoHook {
             LayerOp::Linear { .. } => {
                 let x = inputs[0];
                 let qw = self.quantize_weight(node);
-                let (acc, out_scale) =
-                    self.run_weighted(node, s, LinearKind::Fc, x, x.len() as u64, &qw);
+                let grid = self.grid_scale(node.id, s, x, false);
+                let qx = QTensor::quantize_with_scale(x, grid).into_data();
+                let acc = self.run_weighted(node, s, LinearKind::Fc, qx, grid, x.len() as u64, &qw);
+                let out_scale = grid * qw.scale;
                 let (m, n) = (x.dims()[0], qw.n);
                 let mut out = Tensor::zeros(&[m, n]);
                 let ov = out.as_mut_slice();
                 for r in 0..m {
                     for cidx in 0..n {
-                        let b = qw.bias.as_ref().map_or(0.0, |bv| bv[cidx]);
-                        ov[r * n + cidx] = acc[r * n + cidx] as f32 * out_scale + b;
+                        ov[r * n + cidx] = acc[r * n + cidx] as f32 * out_scale + qw.bias(cidx);
                     }
                 }
                 Some(out)
@@ -770,6 +820,94 @@ mod tests {
         // im2col elements = K² × raw elements for stride-1 same conv.
         assert!(conv.elems >= conv.in_bytes, "{} vs {}", conv.elems, conv.in_bytes);
         assert_eq!(conv.macs, conv.elems * conv.reuse);
+    }
+
+    /// The per-element reference [`spatial_hist`] replaced.
+    fn spatial_hist_oracle(data: &[i8], rows: usize, cols: usize) -> BitWidthHistogram {
+        let mut h = BitWidthHistogram::new();
+        if rows == 0 || cols == 0 {
+            return h;
+        }
+        for &v in &data[..cols] {
+            h.push(quant::BitWidthClass::of_i8(v));
+        }
+        for r in 1..rows {
+            for c in 0..cols {
+                let d = data[r * cols + c] as i16 - data[(r - 1) * cols + c] as i16;
+                h.push(quant::BitWidthClass::of(d));
+            }
+        }
+        h
+    }
+
+    /// The per-element reference [`im2col_i8`] replaced.
+    fn im2col_oracle(data: &[i8], c: usize, h: usize, w: usize, p: Conv2dParams) -> Vec<i8> {
+        let (ho, wo, k) = (p.out_extent(h), p.out_extent(w), p.kernel);
+        let cols = c * k * k;
+        let mut out = vec![0i8; ho * wo * cols];
+        for oy in 0..ho {
+            for ox in 0..wo {
+                for ci in 0..c {
+                    for ky in 0..k {
+                        let iy = (oy * p.stride + ky) as isize - p.padding as isize;
+                        for kx in 0..k {
+                            let ix = (ox * p.stride + kx) as isize - p.padding as isize;
+                            if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                                out[(oy * wo + ox) * cols + (ci * k + ky) * k + kx] =
+                                    data[(ci * h + iy as usize) * w + ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn random_levels(rng: &mut tensor::Rng, len: usize) -> Vec<i8> {
+        // Mix narrow and full-range levels so every class occurs.
+        (0..len)
+            .map(|i| {
+                let v = rng.next_below(255) as i32 - 127;
+                (if i % 3 == 0 { v / 16 } else { v }) as i8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spatial_hist_matches_per_element_oracle() {
+        let mut rng = tensor::Rng::seed_from(21);
+        for _ in 0..200 {
+            let rows = 1 + rng.next_below(40);
+            let cols = 1 + rng.next_below(300);
+            let data = random_levels(&mut rng, rows * cols);
+            assert_eq!(
+                spatial_hist(&data, rows, cols),
+                spatial_hist_oracle(&data, rows, cols),
+                "{rows}x{cols}"
+            );
+        }
+        assert_eq!(spatial_hist(&[], 0, 4), spatial_hist_oracle(&[], 0, 4));
+        assert_eq!(spatial_hist(&[1, -128], 1, 2), spatial_hist_oracle(&[1, -128], 1, 2));
+    }
+
+    #[test]
+    fn im2col_matches_per_element_oracle() {
+        let mut rng = tensor::Rng::seed_from(22);
+        for kernel in [1, 2, 3, 5] {
+            for stride in [1, 2, 3] {
+                for padding in 0..kernel {
+                    let c = 1 + rng.next_below(3);
+                    let h = kernel + rng.next_below(7);
+                    let w = kernel + rng.next_below(7);
+                    let p = Conv2dParams { kernel, stride, padding };
+                    let data = random_levels(&mut rng, c * h * w);
+                    let (got, m, cols) = im2col_i8(&data, c, h, w, p);
+                    assert_eq!((m, cols), (p.out_extent(h) * p.out_extent(w), c * kernel * kernel));
+                    assert_eq!(got, im2col_oracle(&data, c, h, w, p), "{c}x{h}x{w} {p:?}");
+                }
+            }
+        }
     }
 
     #[test]

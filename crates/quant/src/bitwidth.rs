@@ -67,6 +67,12 @@ impl BitWidthClass {
     }
 }
 
+/// Elements the histogram builders count per chunk: each chunk tallies into
+/// `u8` lanes, which cannot overflow within it, so the loops vectorize at
+/// full byte width. Class membership is computed arithmetically (no
+/// per-element `match`), and the four buckets follow by subtraction.
+const U8_LANE_CHUNK: usize = u8::MAX as usize;
+
 /// Histogram of bit-width classes over a stream of values.
 ///
 /// This is the per-layer statistic the Encoding Unit produces and everything
@@ -91,20 +97,68 @@ impl BitWidthHistogram {
 
     /// Builds a histogram from `i16` difference values.
     pub fn from_deltas(deltas: &[i16]) -> Self {
-        let mut h = Self::default();
-        for &d in deltas {
-            h.push(BitWidthClass::of(d));
+        let (mut zero, mut le4, mut le8) = (0u64, 0u64, 0u64);
+        for chunk in deltas.chunks(U8_LANE_CHUNK) {
+            let (mut z, mut l4, mut l8) = (0u8, 0u8, 0u8);
+            for &d in chunk {
+                z += (d == 0) as u8;
+                l4 += ((d.wrapping_add(8) as u16) < 16) as u8;
+                l8 += ((d.wrapping_add(128) as u16) < 256) as u8;
+            }
+            zero += u64::from(z);
+            le4 += u64::from(l4);
+            le8 += u64::from(l8);
         }
-        h
+        Self::from_counts(deltas.len() as u64, zero, le4, le8)
     }
 
     /// Builds a histogram from original `i8` activations.
     pub fn from_activations(acts: &[i8]) -> Self {
-        let mut h = Self::default();
-        for &a in acts {
-            h.push(BitWidthClass::of_i8(a));
+        let (mut zero, mut le4) = (0u64, 0u64);
+        for chunk in acts.chunks(U8_LANE_CHUNK) {
+            let (mut z, mut l4) = (0u8, 0u8);
+            for &a in chunk {
+                z += (a == 0) as u8;
+                l4 += ((a as u8).wrapping_add(8) < 16) as u8;
+            }
+            zero += u64::from(z);
+            le4 += u64::from(l4);
         }
-        h
+        let n = acts.len() as u64;
+        Self::from_counts(n, zero, le4, n)
+    }
+
+    /// Builds the histogram of the differences `cur[i] - prev[i]` (the
+    /// Encoding Unit's subtractor output) without materializing them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn from_i8_diff(cur: &[i8], prev: &[i8]) -> Self {
+        assert_eq!(cur.len(), prev.len(), "difference operands must match in length");
+        let (mut zero, mut le4, mut le8) = (0u64, 0u64, 0u64);
+        for (cc, pc) in cur.chunks(U8_LANE_CHUNK).zip(prev.chunks(U8_LANE_CHUNK)) {
+            let (mut z, mut l4, mut l8) = (0u8, 0u8, 0u8);
+            for (&c, &p) in cc.iter().zip(pc) {
+                // A saturated difference is in -8..=7 exactly when the true
+                // one is, and equals the wrapped one exactly when the true
+                // difference fits in 8 bits.
+                let sat = c.saturating_sub(p);
+                z += (c == p) as u8;
+                l4 += ((sat as u8).wrapping_add(8) < 16) as u8;
+                l8 += (sat == c.wrapping_sub(p)) as u8;
+            }
+            zero += u64::from(z);
+            le4 += u64::from(l4);
+            le8 += u64::from(l8);
+        }
+        Self::from_counts(cur.len() as u64, zero, le4, le8)
+    }
+
+    /// Buckets `n` values from the counts of zeros, of values in `-8..=7`
+    /// (zeros included) and of values in `-128..=127`.
+    fn from_counts(n: u64, zero: u64, le4: u64, le8: u64) -> Self {
+        BitWidthHistogram { zero, low4: le4 - zero, full8: le8 - le4, over8: n - le8 }
     }
 
     /// Adds one classified value.

@@ -101,6 +101,11 @@ impl QTensor {
         &self.data
     }
 
+    /// Consumes the tensor, returning its levels without a copy.
+    pub fn into_data(self) -> Vec<i8> {
+        self.data
+    }
+
     /// Exact dequantization back to `f32`.
     pub fn dequantize(&self) -> Tensor {
         let data = self.data.iter().map(|&q| q as f32 * self.scale).collect();

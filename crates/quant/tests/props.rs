@@ -25,6 +25,82 @@ fn i8_vec(n: usize) -> impl Strategy<Value = Vec<i8>> {
     proptest::collection::vec(any::<i8>().prop_map(|v| if v == -128 { -127 } else { v }), n)
 }
 
+/// The per-element classification the branch-free histogram builders
+/// replaced, kept as their reference.
+fn oracle(values: impl IntoIterator<Item = i16>) -> BitWidthHistogram {
+    let mut h = BitWidthHistogram::new();
+    for v in values {
+        h.push(BitWidthClass::of(v));
+    }
+    h
+}
+
+/// `from_activations`, `from_deltas` and `from_i8_diff` against
+/// [`oracle`] on one `(cur, prev)` pair.
+fn assert_builders_match_oracle(cur: &[i8], prev: &[i8]) {
+    let deltas: Vec<i16> = cur.iter().zip(prev).map(|(&c, &p)| c as i16 - p as i16).collect();
+    let len = cur.len();
+    assert_eq!(
+        BitWidthHistogram::from_activations(cur),
+        oracle(cur.iter().map(|&v| v as i16)),
+        "activations, len {len}"
+    );
+    assert_eq!(
+        BitWidthHistogram::from_deltas(&deltas),
+        oracle(deltas.clone()),
+        "deltas, len {len}"
+    );
+    assert_eq!(BitWidthHistogram::from_i8_diff(cur, prev), oracle(deltas), "i8 diff, len {len}");
+}
+
+/// `cur` perturbed per element by a random amount that is mostly small
+/// (zero and ≤4-bit differences) and sometimes arbitrary (8-bit and
+/// over-8-bit ones).
+fn near_levels(rng: &mut tensor::Rng, cur: &[i8]) -> Vec<i8> {
+    cur.iter()
+        .map(|&c| match rng.next_below(4) {
+            0 => c,
+            1 => c.wrapping_add(rng.next_below(16) as i8 - 8),
+            _ => rng.next_below(256) as u8 as i8,
+        })
+        .collect()
+}
+
+/// Slice lengths at the counters' edges: empty, one, one 16-byte SIMD
+/// register ±1, and the builders' 255-element counting chunk ±1, once and
+/// repeated.
+const EDGE_LENGTHS: [usize; 14] = [0, 1, 15, 16, 17, 254, 255, 256, 509, 510, 511, 764, 765, 766];
+
+#[test]
+fn histogram_builders_match_oracle_on_every_value() {
+    let all: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+    // Every (cur, prev) pair: all 256 activations as `cur`, and every
+    // difference -255..=255 (the ±254 range of clamped levels, plus the
+    // -128 corner).
+    let cur: Vec<i8> = all.iter().flat_map(|&c| std::iter::repeat_n(c, all.len())).collect();
+    let prev: Vec<i8> = all.iter().copied().cycle().take(cur.len()).collect();
+    assert_builders_match_oracle(&cur, &prev);
+    assert_builders_match_oracle(&all, &all);
+    let deltas: Vec<i16> = (-255..=255).collect();
+    assert_eq!(BitWidthHistogram::from_deltas(&deltas), oracle(deltas.clone()));
+}
+
+#[test]
+fn histogram_builders_match_oracle_at_chunk_edges() {
+    let mut rng = tensor::Rng::seed_from(0x4b17);
+    for len in EDGE_LENGTHS {
+        // Uniform slices fill one bucket completely, so every narrow
+        // counter reaches its chunk's full length.
+        for v in [0i8, 3, -100, 127] {
+            assert_builders_match_oracle(&vec![v; len], &vec![0; len]);
+            assert_builders_match_oracle(&vec![v; len], &vec![-v; len]);
+        }
+        let cur: Vec<i8> = (0..len).map(|_| rng.next_below(256) as u8 as i8).collect();
+        let prev = near_levels(&mut rng, &cur);
+        assert_builders_match_oracle(&cur, &prev);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -178,6 +254,19 @@ proptest! {
         if !deltas.is_empty() {
             prop_assert!((ratios - 1.0).abs() < 1e-9);
         }
+    }
+
+    /// The branch-free builders agree with the per-element oracle on
+    /// arbitrary slices, including lengths that straddle the counting
+    /// chunk.
+    #[test]
+    fn histogram_builders_match_oracle(
+        cur in proptest::collection::vec(any::<i8>(), 0..700),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = tensor::Rng::seed_from(seed);
+        let prev = near_levels(&mut rng, &cur);
+        assert_builders_match_oracle(&cur, &prev);
     }
 
     /// BOPs of difference processing never exceed dense BOPs when no delta
