@@ -121,7 +121,7 @@ pub struct ServeRequest {
     /// Defaults to 0. Best-effort — already-running cells are never
     /// preempted, and results are bit-identical regardless of order.
     pub priority: i64,
-    /// Optional kernel-backend override (`"scalar"`/`"tiled"`/`"simd"`),
+    /// Optional kernel-backend override (`"scalar"`/`"simd"`),
     /// applied process-wide before the sweep runs. Purely a performance
     /// knob: every backend is bit-identical, so responses (and the serve
     /// memo, whose keys contain nothing backend-dependent) never change —
@@ -207,9 +207,10 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
         Err(_) => 0,
     };
     let backend = match v.get("backend") {
-        Ok(Value::Str(s)) => Some(KernelBackend::parse(s).ok_or_else(|| {
-            format!("unknown backend `{s}` (expected `scalar`, `tiled`, or `simd`)")
-        })?),
+        Ok(Value::Str(s)) => Some(
+            KernelBackend::parse(s)
+                .ok_or_else(|| format!("unknown backend `{s}` (expected `scalar` or `simd`)"))?,
+        ),
         Ok(_) => return Err("`backend` must be a string".into()),
         Err(_) => None,
     };
@@ -489,13 +490,13 @@ mod tests {
             suite_fresh: 0,
             process_suite_hits: 7,
         };
-        let ok = response_ok("r9", &report, &hits, KernelBackend::Tiled);
+        let ok = response_ok("r9", &report, &hits, KernelBackend::Scalar);
         assert!(!ok.contains('\n'));
         let v = jsonio::parse(ok.as_bytes()).unwrap();
         assert_eq!(v.get("id").unwrap(), &Value::Str("r9".into()));
         assert_eq!(v.get("ok").unwrap(), &Value::Bool(true));
         assert_eq!(v.get("proto").unwrap(), &Value::Int(PROTO_VERSION.into()));
-        assert_eq!(v.get("backend").unwrap(), &Value::Str("tiled".into()));
+        assert_eq!(v.get("backend").unwrap(), &Value::Str("scalar".into()));
         assert_eq!(v.get("cache_hits").unwrap(), &Value::Int(7));
         let cells = v.get("cells").unwrap();
         assert_eq!(cells.get("total").unwrap(), &Value::Int(2));
@@ -546,6 +547,10 @@ mod tests {
         assert!(parse_request(r#"{"id":"b","backend":"warp9"}"#)
             .unwrap_err()
             .contains("unknown backend"));
+        assert_eq!(
+            parse_request(r#"{"id":"b","backend":"tiled"}"#).unwrap_err(),
+            "unknown backend `tiled` (expected `scalar` or `simd`)"
+        );
         assert!(parse_request(r#"{"id":"b","backend":7}"#)
             .unwrap_err()
             .contains("must be a string"));

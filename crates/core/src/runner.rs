@@ -30,7 +30,7 @@
 //!
 //! The integer kernels the hook drives (`quant::kernels::*`) dispatch
 //! through the pluggable kernel-backend layer (`tensor::backend`:
-//! scalar / tiled / explicit-SIMD). Backends are bit-identical, so traces
+//! scalar / explicit-SIMD). Backends are bit-identical, so traces
 //! and samples — and therefore the trace cache, whose fingerprints cover
 //! only the model definition — are backend-invariant; selecting a backend
 //! (`DITTO_KERNEL_BACKEND` or the serve protocol's `backend` field) only

@@ -9,15 +9,13 @@
 //! Every public kernel is a thin dispatcher over the pluggable
 //! [`tensor::backend`] layer ([`tensor::KernelBackend`]):
 //!
-//! * **Scalar** runs the pre-tiling loops kept verbatim in [`reference`];
-//! * **Tiled** (the default without SIMD) register-tiles [`MR`]
-//!   activation rows so each streamed weight row is reused from L1 while
-//!   the `i32` accumulator rows stay cache-resident across the depth
-//!   loop;
-//! * **Simd** runs explicit AVX2/SSE2 intrinsics ([`simd`]) that fold two
-//!   non-zero activation rows per `vpmaddwd` pass.
+//! * **Scalar** runs the streaming `ikj` loops [`reference`] is built on
+//!   (the floor without SIMD);
+//! * **Simd** runs explicit AVX2/SSE2/NEON intrinsics ([`simd`]) that fold
+//!   two non-zero activation rows per `vpmaddwd` pass, falling back to the
+//!   scalar loops at SIMD level `none`.
 //!
-//! All three are **bit-identical**: `i32` addition is associative
+//! Both are **bit-identical**: `i32` addition is associative
 //! (wrapping), so any accumulation order reproduces the scalar sums
 //! exactly, and the per-row zero-skip fast path of delta execution is
 //! preserved everywhere. The equivalence is asserted in tests, the
@@ -27,18 +25,6 @@
 pub mod simd;
 
 use tensor::backend::{self, KernelBackend};
-use tensor::ops::Conv2dParams;
-
-/// Activation rows processed together by the tiled kernels. Each `B`/weight
-/// row streamed from memory is reused `MR` times, and the `MR` live `i32`
-/// output rows stay in L1 across the whole depth loop.
-const MR: usize = 4;
-
-/// Weight element count below which the row-blocked tiling is skipped: a
-/// `B` that small stays cache-resident across the plain streaming loop, so
-/// blocking only adds overhead. Either order is bit-identical (`i32`
-/// wrapping addition is associative), so this is purely a perf dispatch.
-const B_ELEMS_BLOCK_THRESHOLD: usize = 1 << 14;
 
 /// Dispatches one accumulation pass to the chosen backend: `out [m,n] +=
 /// a [m,k] × b [k,n]` with zero activations skipped on every path.
@@ -53,7 +39,6 @@ fn accumulate_i8(
 ) {
     match backend {
         KernelBackend::Scalar => accumulate_scalar(out, a, b, m, k, n),
-        KernelBackend::Tiled => accumulate_tiled(out, a, b, m, k, n),
         KernelBackend::Simd => simd::accumulate_i8(out, a, b, m, k, n),
     }
 }
@@ -70,13 +55,14 @@ fn accumulate_i16(
 ) {
     match backend {
         KernelBackend::Scalar => accumulate_scalar(out, a, b, m, k, n),
-        KernelBackend::Tiled => accumulate_tiled(out, a, b, m, k, n),
         KernelBackend::Simd => simd::accumulate_i16(out, a, b, m, k, n),
     }
 }
 
 /// The scalar-backend accumulation: the original streaming `ikj` loop
-/// (the same order [`reference`] keeps for the public reference kernels).
+/// (the same order [`reference`] keeps for the public reference kernels),
+/// and the SIMD kernels' fallback at level `none`. Generic over the weight
+/// element (`i8` dense weights, `i16` attention operands).
 fn accumulate_scalar<W: Copy + Into<i32>>(
     out: &mut [i32],
     a: &[i16],
@@ -98,58 +84,6 @@ fn accumulate_scalar<W: Copy + Into<i32>>(
             let orow = &mut out[i * n..(i + 1) * n];
             for j in 0..n {
                 orow[j] += av * brow[j].into();
-            }
-        }
-    }
-}
-
-/// Accumulates `a [m,k] × b [k,n]` on top of `out [m,n]` with `i32`
-/// accumulation, register-tiled over [`MR`] rows, skipping zero activation
-/// values (the delta fast path).
-///
-/// Generic over the weight element (`i8` dense weights, `i16` attention
-/// operands) so both monomorphize to the same tiled loop nest.
-pub(crate) fn accumulate_tiled<W: Copy + Into<i32>>(
-    out: &mut [i32],
-    a: &[i16],
-    b: &[W],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    if k * n <= B_ELEMS_BLOCK_THRESHOLD || m < 2 {
-        // Small B: the streaming `ikj` order wins (see threshold doc).
-        for i in 0..m {
-            for kk in 0..k {
-                let av = a[i * k + kk] as i32;
-                if av == 0 {
-                    continue;
-                }
-                let brow = &b[kk * n..(kk + 1) * n];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for j in 0..n {
-                    orow[j] += av * brow[j].into();
-                }
-            }
-        }
-        return;
-    }
-    for ib in (0..m).step_by(MR) {
-        let ie = (ib + MR).min(m);
-        for kk in 0..k {
-            let brow = &b[kk * n..kk * n + n];
-            for i in ib..ie {
-                let av = a[i * k + kk] as i32;
-                if av == 0 {
-                    continue;
-                }
-                let orow = &mut out[i * n..i * n + n];
-                for j in 0..n {
-                    orow[j] += av * brow[j].into();
-                }
             }
         }
     }
@@ -190,136 +124,6 @@ pub fn int_matmul_with(
 /// Widens `i8` activations into the `i16` domain for [`int_matmul`].
 pub fn widen(acts: &[i8]) -> Vec<i16> {
     acts.iter().map(|&a| a as i16).collect()
-}
-
-/// Direct (lowering-free) integer convolution on the process-wide active
-/// backend: `a [c_in,h,w] (i16 domain) × w [c_out,c_in,k,k] (i8) → i32
-/// [c_out,ho,wo]` — the integer sibling of `tensor::ops`'
-/// `conv2d_direct_into_with`, with no im2col gather and no scratch.
-///
-/// # Panics
-///
-/// Panics if slice lengths are inconsistent with the given dimensions.
-pub fn int_conv2d_direct(
-    a: &[i16],
-    w: &[i8],
-    c_in: usize,
-    h: usize,
-    width: usize,
-    c_out: usize,
-    params: Conv2dParams,
-) -> Vec<i32> {
-    int_conv2d_direct_with(backend::active(), a, w, c_in, h, width, c_out, params)
-}
-
-/// [`int_conv2d_direct`] on an explicit backend (bit-identical for every
-/// backend — `i32` wrapping addition is associative, so the SIMD path's
-/// tap-major accumulation order reproduces the elementwise reference
-/// exactly).
-///
-/// # Panics
-///
-/// Panics if slice lengths are inconsistent with the given dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn int_conv2d_direct_with(
-    backend: KernelBackend,
-    a: &[i16],
-    w: &[i8],
-    c_in: usize,
-    h: usize,
-    width: usize,
-    c_out: usize,
-    params: Conv2dParams,
-) -> Vec<i32> {
-    assert_eq!(a.len(), c_in * h * width, "activation length");
-    assert_eq!(w.len(), c_out * c_in * params.kernel * params.kernel, "weight length");
-    backend::count_dispatch(backend::DispatchKernel::IntConv2dDirect, backend);
-    let ho = params.out_extent(h);
-    let wo = params.out_extent(width);
-    let mut out = vec![0i32; c_out * ho * wo];
-    match backend {
-        KernelBackend::Scalar => {
-            reference::int_conv2d_direct_into(&mut out, a, w, c_in, h, width, c_out, params)
-        }
-        // Tiled keeps the tap-major row loop but a portable scalar AXPY;
-        // Simd streams each stride-1 row span through the active level's
-        // `acc_row_i16` kernel. Both reassociate freely — exact for i32.
-        KernelBackend::Tiled => {
-            int_conv_taps(&mut out, a, w, c_in, h, width, c_out, params, |o, wv, arow| {
-                for (oj, &aj) in o.iter_mut().zip(arow) {
-                    *oj += wv * aj as i32;
-                }
-            });
-        }
-        KernelBackend::Simd => {
-            int_conv_taps(&mut out, a, w, c_in, h, width, c_out, params, simd::conv_axpy_i16);
-        }
-    }
-    out
-}
-
-/// Tap-major direct-conv driver shared by the tiled and SIMD backends:
-/// for every `(c_out, c_in, ky, kx)` weight tap the valid output-row span
-/// accumulates the shifted activation row through `axpy` (stride 1) or a
-/// scalar gather (stride > 1). Zero weight taps are skipped — exact for
-/// integers, where adding a zero product changes nothing.
-#[allow(clippy::too_many_arguments)]
-fn int_conv_taps(
-    out: &mut [i32],
-    a: &[i16],
-    w: &[i8],
-    c_in: usize,
-    h: usize,
-    width: usize,
-    c_out: usize,
-    params: Conv2dParams,
-    axpy: impl Fn(&mut [i32], i32, &[i16]),
-) {
-    let ho = params.out_extent(h);
-    let wo = params.out_extent(width);
-    let k = params.kernel;
-    let pad = params.padding as isize;
-    for oc in 0..c_out {
-        let oplane = &mut out[oc * ho * wo..(oc + 1) * ho * wo];
-        for ic in 0..c_in {
-            let plane = &a[ic * h * width..(ic + 1) * h * width];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let wval = w[((oc * c_in + ic) * k + ky) * k + kx] as i32;
-                    if wval == 0 {
-                        continue;
-                    }
-                    for oy in 0..ho {
-                        let iy = (oy * params.stride + ky) as isize - pad;
-                        if iy < 0 || iy as usize >= h {
-                            continue;
-                        }
-                        let src = &plane[iy as usize * width..(iy as usize + 1) * width];
-                        let dst = &mut oplane[oy * wo..(oy + 1) * wo];
-                        if params.stride == 1 {
-                            // ix = ox + kx - pad must land in [0, width).
-                            let shift = kx as isize - pad;
-                            let lo = (-shift).clamp(0, wo as isize) as usize;
-                            let hi =
-                                (width as isize - shift).clamp(lo as isize, wo as isize) as usize;
-                            if lo == hi {
-                                continue;
-                            }
-                            let x0 = (lo as isize + shift) as usize;
-                            axpy(&mut dst[lo..hi], wval, &src[x0..x0 + (hi - lo)]);
-                        } else {
-                            for (ox, oj) in dst.iter_mut().enumerate() {
-                                let ix = (ox * params.stride) as isize + kx as isize - pad;
-                                if ix >= 0 && (ix as usize) < width {
-                                    *oj += wval * src[ix as usize] as i32;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Delta-processing matmul: given the previous step's output accumulators
@@ -455,7 +259,7 @@ pub fn int_scores_with(
     out
 }
 
-/// The pre-tiling scalar kernels — the bit-identity ground truth for
+/// The scalar reference kernels — the bit-identity ground truth for
 /// tests and the backend benchmark comparisons. The load-bearing `ikj`
 /// zero-skip loop itself lives in one place (the parent module's
 /// `accumulate_scalar`, which is also exactly what the `Scalar` backend
@@ -506,75 +310,6 @@ pub mod reference {
     ) {
         super::accumulate_scalar(out, a, b, m, k, n);
     }
-
-    /// Scalar direct integer convolution: the elementwise sliding-window
-    /// loop, one output element at a time. Ground truth for
-    /// [`super::int_conv2d_direct`]'s tap-major backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths are inconsistent with the given dimensions.
-    pub fn int_conv2d_direct(
-        a: &[i16],
-        w: &[i8],
-        c_in: usize,
-        h: usize,
-        width: usize,
-        c_out: usize,
-        params: super::Conv2dParams,
-    ) -> Vec<i32> {
-        assert_eq!(a.len(), c_in * h * width, "activation length");
-        assert_eq!(w.len(), c_out * c_in * params.kernel * params.kernel, "weight length");
-        let ho = params.out_extent(h);
-        let wo = params.out_extent(width);
-        let mut out = vec![0i32; c_out * ho * wo];
-        int_conv2d_direct_into(&mut out, a, w, c_in, h, width, c_out, params);
-        out
-    }
-
-    /// Slice core of [`int_conv2d_direct`] (also the `Scalar` backend of
-    /// the public dispatcher, so reference and backend can never drift).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn int_conv2d_direct_into(
-        out: &mut [i32],
-        a: &[i16],
-        w: &[i8],
-        c_in: usize,
-        h: usize,
-        width: usize,
-        c_out: usize,
-        params: super::Conv2dParams,
-    ) {
-        let ho = params.out_extent(h);
-        let wo = params.out_extent(width);
-        let k = params.kernel;
-        let pad = params.padding as isize;
-        for oc in 0..c_out {
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut acc = 0i32;
-                    for ic in 0..c_in {
-                        for ky in 0..k {
-                            let iy = (oy * params.stride + ky) as isize - pad;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = (ox * params.stride + kx) as isize - pad;
-                                if ix < 0 || ix as usize >= width {
-                                    continue;
-                                }
-                                let av = a[(ic * h + iy as usize) * width + ix as usize] as i32;
-                                let wv = w[((oc * c_in + ic) * k + ky) * k + kx] as i32;
-                                acc += av * wv;
-                            }
-                        }
-                    }
-                    out[(oc * ho + oy) * wo + ox] = acc;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -598,60 +333,10 @@ mod tests {
         assert_eq!(int_matmul(&a, &w, 2, 2, 2), vec![1, 2, 3, 4]);
     }
 
-    /// Every backend of the direct integer convolution reproduces the
-    /// elementwise sliding-window reference bit for bit, across shape
-    /// classes (1×1 pointwise, 3×3 same/strided), stride 1/2, padding 0/1,
-    /// lane-boundary widths, and delta-grade weight sparsity.
-    #[test]
-    fn int_conv2d_direct_matches_reference_across_backends() {
-        let mut rng = Rng::seed_from(53);
-        let cases = [
-            // (c_in, h, w, c_out, kernel, stride, padding)
-            (1usize, 3usize, 3usize, 1usize, 1usize, 1usize, 0usize),
-            (3, 8, 8, 4, 1, 1, 0),
-            (4, 6, 17, 3, 3, 1, 1),
-            (2, 5, 9, 5, 3, 1, 0),
-            (3, 7, 16, 2, 3, 2, 1),
-            (5, 4, 4, 4, 3, 1, 1),
-            (1, 1, 1, 2, 1, 1, 0),
-            (2, 9, 33, 3, 3, 1, 1),
-        ];
-        for (c_in, h, w, c_out, kernel, stride, padding) in cases {
-            let params = Conv2dParams { kernel, stride, padding };
-            let a = rand_i16(c_in * h * w, &mut rng);
-            let wt: Vec<i8> = rand_i8(c_out * c_in * kernel * kernel, &mut rng)
-                .into_iter()
-                .map(|v| if rng.next_f64() < 0.3 { 0 } else { v })
-                .collect();
-            let want = reference::int_conv2d_direct(&a, &wt, c_in, h, w, c_out, params);
-            for backend in KernelBackend::ALL {
-                let got = int_conv2d_direct_with(backend, &a, &wt, c_in, h, w, c_out, params);
-                assert_eq!(
-                    got, want,
-                    "{backend:?} int_conv2d_direct diverged at \
-                     c{c_in}-{c_out} {h}x{w} k{kernel}s{stride}p{padding}"
-                );
-            }
-            assert_eq!(
-                int_conv2d_direct(&a, &wt, c_in, h, w, c_out, params),
-                want,
-                "active-backend entry point diverged"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "weight length")]
-    fn int_conv2d_direct_rejects_bad_weight_length() {
-        let params = Conv2dParams::same3x3();
-        let a = vec![0i16; 2 * 4 * 4];
-        let w = vec![0i8; 7];
-        let _ = int_conv2d_direct(&a, &w, 2, 4, 4, 3, params);
-    }
-
     #[test]
     fn tiled_matches_reference_bitwise() {
-        // Shapes around the MR tile boundary and the streaming-vs-blocked
+        // The active backend's (row-tiled SIMD where available) kernels on
+        // shapes around the row-tile boundary and the streaming-vs-blocked
         // dispatch threshold (k·n vs 2^14), with delta-grade sparsity.
         let mut rng = Rng::seed_from(77);
         for &(m, k, n) in &[
@@ -672,7 +357,7 @@ mod tests {
             assert_eq!(
                 int_matmul(&a, &w, m, k, n),
                 reference::int_matmul(&a, &w, m, k, n),
-                "tiled int_matmul diverged at {m}x{k}x{n}"
+                "active int_matmul diverged at {m}x{k}x{n}"
             );
             let prev: Vec<i32> =
                 (0..m * n).map(|_| rng.next_below(1 << 20) as i32 - (1 << 19)).collect();
@@ -682,18 +367,18 @@ mod tests {
                 "fused delta update diverged at {m}x{k}x{n}"
             );
             let b = rand_i16(k * n, &mut rng);
-            let mut tiled = prev.clone();
-            accumulate_tiled(&mut tiled, &a, &b, m, k, n);
+            let mut got = prev.clone();
+            accumulate_i16(backend::active(), &mut got, &a, &b, m, k, n);
             let mut scalar = prev.clone();
             reference::accumulate_i16_matmul(&mut scalar, &a, &b, m, k, n);
-            assert_eq!(tiled, scalar, "tiled i16 accumulate diverged at {m}x{k}x{n}");
+            assert_eq!(got, scalar, "active i16 accumulate diverged at {m}x{k}x{n}");
         }
     }
 
     #[test]
     fn every_backend_matches_reference_bitwise() {
-        // The backend seam's core contract: scalar, tiled, and simd produce
-        // the same bytes for every integer kernel.
+        // The backend seam's core contract: scalar and simd produce the
+        // same bytes for every integer kernel.
         let mut rng = Rng::seed_from(41);
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 9, 5), (6, 40, 17), (9, 120, 33)] {
             let a: Vec<i16> = rand_i16(m * k, &mut rng)

@@ -35,7 +35,7 @@
 //!
 //! The dispatchers below run the kernels for the *active*
 //! [`SimdLevel`] — so forcing `DITTO_SIMD_LEVEL=sse2` on an AVX2 host
-//! exercises the real SSE2 kernels — and fall back to the tiled loops at
+//! exercises the real SSE2 kernels — and fall back to the scalar loops at
 //! level `none` (architectures without kernels compile only the
 //! fallback), so callers never need an architecture `cfg` of their own.
 
@@ -84,7 +84,7 @@ pub(super) fn accumulate_i8(out: &mut [i32], a: &[i16], b: &[i8], m: usize, k: u
             neon::acc_row_i8,
             neon::dense_row_i8,
         ),
-        _ => super::accumulate_tiled(out, a, b, m, k, n),
+        _ => super::accumulate_scalar(out, a, b, m, k, n),
     }
 }
 
@@ -130,33 +130,7 @@ pub(super) fn accumulate_i16(out: &mut [i32], a: &[i16], b: &[i16], m: usize, k:
             neon::acc_row_i16,
             neon::dense_row_i16,
         ),
-        _ => super::accumulate_tiled(out, a, b, m, k, n),
-    }
-}
-
-/// Direct-conv AXPY at the active SIMD level: `out[j] += wv · arow[j]`
-/// over one contiguous activation-row slice. This is the inner step of
-/// [`super::int_conv2d_direct`]'s stride-1 path — one weight tap streamed
-/// against a shifted activation row — and reuses the same per-level
-/// `acc_row_i16` kernels as the matmul fold. Exactness is automatic:
-/// integer products are exact and wrapping `i32` addition is associative,
-/// so any accumulation order reproduces the scalar reference bit-for-bit.
-pub(super) fn conv_axpy_i16(out: &mut [i32], wv: i32, arow: &[i16]) {
-    debug_assert_eq!(out.len(), arow.len());
-    match simd_level() {
-        // SAFETY: the kernels require only their declared target feature,
-        // which `simd_level()` verified at runtime.
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdLevel::Avx2 => unsafe { avx2::acc_row_i16(out, wv, arow) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdLevel::Sse2 => unsafe { sse2::acc_row_i16(out, wv, arow) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::acc_row_i16(out, wv, arow) },
-        _ => {
-            for (o, &a) in out.iter_mut().zip(arow) {
-                *o += wv * a as i32;
-            }
-        }
+        _ => super::accumulate_scalar(out, a, b, m, k, n),
     }
 }
 
@@ -765,6 +739,7 @@ mod neon {
 #[cfg(all(test, any(target_arch = "x86", target_arch = "x86_64")))]
 mod tests {
     use super::*;
+    use crate::kernels::reference;
     use tensor::backend::hw_simd_level;
     use tensor::Rng;
 
@@ -779,14 +754,14 @@ mod tests {
     }
 
     /// Both the AVX2 and SSE2 per-level drivers — sparse pending-pair scan
-    /// *and* the dense-row kernels — must reproduce the tiled accumulators
+    /// *and* the dense-row kernels — must reproduce the reference accumulators
     /// bit for bit on shapes around every lane boundary (8-lane steps,
     /// scalar tails, single-leftover rows, odd `k` for the pair fold).
     /// The kernels are taken directly per level (not through the mutable
     /// active-level global), so this is race-free under parallel tests.
     #[test]
     #[allow(clippy::type_complexity)]
-    fn simd_levels_match_tiled_bitwise() {
+    fn simd_levels_match_reference_bitwise() {
         let mut rng = Rng::seed_from(31);
         let mut level_kernels: Vec<(
             &str,
@@ -831,10 +806,9 @@ mod tests {
                 let b16 = sparse_i16(k * n, 0.0, &mut rng);
                 let init: Vec<i32> =
                     (0..m * n).map(|_| rng.next_below(1 << 20) as i32 - (1 << 19)).collect();
-                let mut want8 = init.clone();
-                crate::kernels::accumulate_tiled(&mut want8, &a, &b8, m, k, n);
+                let want8 = reference::delta_matmul_update(&init, &a, &b8, m, k, n);
                 let mut want16 = init.clone();
-                crate::kernels::accumulate_tiled(&mut want16, &a, &b16, m, k, n);
+                reference::accumulate_i16_matmul(&mut want16, &a, &b16, m, k, n);
                 for (name, pair8, row8, dense8, pair16, row16, dense16) in &level_kernels {
                     let mut got = init.clone();
                     accumulate_rows(&mut got, &a, &b8, m, k, n, *pair8, *row8, *dense8);

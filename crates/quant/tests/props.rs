@@ -8,13 +8,13 @@ use quant::{BitWidthClass, BitWidthHistogram, BopsModel, QTensor};
 use tensor::backend::{available_simd_levels, hw_simd_level, set_simd_level, SimdLevel};
 use tensor::{KernelBackend, Tensor};
 
-/// Backend × SIMD-level configurations: the portable backends, then the
-/// `simd` backend once per hardware-supported level (the sweep the
-/// `DITTO_SIMD_LEVEL` override makes CI-testable). Level `none` is
+/// Backend × SIMD-level configurations: the portable `scalar` backend,
+/// then the `simd` backend once per hardware-supported level (the sweep
+/// the `DITTO_SIMD_LEVEL` override makes CI-testable). Level `none` is
 /// included deliberately — it exercises the graceful fallback from the
-/// `simd` dispatchers to the tiled loops.
+/// `simd` dispatchers to the scalar loops.
 fn backend_level_matrix() -> Vec<(KernelBackend, Option<SimdLevel>)> {
-    let mut configs = vec![(KernelBackend::Scalar, None), (KernelBackend::Tiled, None)];
+    let mut configs = vec![(KernelBackend::Scalar, None)];
     for level in available_simd_levels() {
         configs.push((KernelBackend::Simd, Some(level)));
     }
@@ -122,9 +122,10 @@ proptest! {
         prop_assert_eq!(dense, via);
     }
 
-    /// The tiled kernels are bit-identical to the scalar reference loops on
-    /// arbitrary shapes and sparsity (larger shapes than the exactness test
-    /// above, straddling the register-tile boundary).
+    /// The active backend's (row-tiled SIMD where available) kernels are
+    /// bit-identical to the scalar reference loops on arbitrary shapes and
+    /// sparsity (larger shapes than the exactness test above, straddling
+    /// the register-tile boundary).
     #[test]
     fn tiled_kernels_match_reference(
         m in 1usize..12, k in 1usize..24, n in 1usize..12,

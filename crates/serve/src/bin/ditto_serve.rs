@@ -25,9 +25,10 @@
 //!
 //! Environment:
 //!
-//! * `DITTO_KERNEL_BACKEND` — startup kernel backend (`scalar` / `tiled`
-//!   / `simd` / `auto`); requests may override per the protocol's
-//!   `backend` field. Results are bit-identical on every backend.
+//! * `DITTO_KERNEL_BACKEND` — startup kernel backend (`scalar` / `simd` /
+//!   `auto`; `simd` falls back to `scalar` on hosts without SIMD);
+//!   requests may override per the protocol's `backend` field. Results
+//!   are bit-identical on every backend.
 //! * `DITTO_MEMO_MAX_CELLS` — LRU cap on the cross-request cell memo
 //!   (default: unbounded); evictions are reported per response.
 //! * `DITTO_OBS_STREAM` — path for the per-request/per-cell JSONL

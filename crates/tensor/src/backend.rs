@@ -1,17 +1,13 @@
 //! Kernel-backend selection: the process-wide seam every hot compute
 //! kernel dispatches through.
 //!
-//! Three backends exist, and **all of them produce bit-identical results
-//! for every kernel** — the Ditto equivalence chain (and the serve memo's
+//! Two backends exist, and **both produce bit-identical results for every
+//! kernel** — the Ditto equivalence chain (and the serve memo's
 //! cross-request guarantees) rest on exact accumulator values, so a
 //! backend is only ever a *performance* choice:
 //!
-//! * [`KernelBackend::Scalar`] — the pre-tiling reference loops, kept as
-//!   ground truth for tests and benchmarks.
-//! * [`KernelBackend::Tiled`] — cache-blocked, autovectorization-friendly
-//!   loop nests (the previous default). Bit-identical to scalar because
-//!   tiling only reorders *which output rows are visited when*; each
-//!   output element still accumulates in ascending-`k` order.
+//! * [`KernelBackend::Scalar`] — the portable reference loops: ground
+//!   truth for tests and benchmarks, and the floor on hosts without SIMD.
 //! * [`KernelBackend::Simd`] — explicit `std::arch` intrinsics at the
 //!   active [`SimdLevel`] (AVX2/SSE2 on x86, NEON on aarch64). The integer
 //!   kernels reassociate freely (wrapping-`i32` addition is associative,
@@ -19,7 +15,8 @@
 //!   reassociate: every SIMD lane is one independent output element whose
 //!   products are folded in ascending-`k` order from an explicit `0.0`
 //!   seed with separate correctly rounded `mul`/`add` (never FMA), which
-//!   is bit-identical to the scalar fold by construction.
+//!   is bit-identical to the scalar fold by construction. At level `none`
+//!   every `Simd` kernel falls back to the scalar loops.
 //!
 //! # The SIMD-level ladder
 //!
@@ -40,20 +37,20 @@
 //! code); forcing it up or across ISA families is not ([`set_simd_level`]
 //! rejects, the env fallback warns). `DITTO_SIMD_LEVEL=none` makes the
 //! `Simd` backend unavailable, so `DITTO_KERNEL_BACKEND=simd` degrades to
-//! `tiled` — and the serve protocol reports the *resolved* backend (e.g.
-//! `tiled`, or `simd:sse2`) via [`KernelBackend::resolved_name`], never
+//! `scalar` — and the serve protocol reports the *resolved* backend (e.g.
+//! `scalar`, or `simd:sse2`) via [`KernelBackend::resolved_name`], never
 //! the requested one.
 //!
 //! # Selection
 //!
 //! The active backend is resolved once per process, in this order:
 //!
-//! 1. `DITTO_KERNEL_BACKEND` — `scalar`, `tiled`, `simd`, or `auto`. An
-//!    unknown or unavailable value warns on stderr and falls through to
-//!    detection, so a `simd` job on a host without SIMD degrades
-//!    gracefully instead of dying.
+//! 1. `DITTO_KERNEL_BACKEND` — `scalar`, `simd`, or `auto`. An unknown or
+//!    unavailable value warns on stderr and falls through to detection,
+//!    so a `simd` job on a host without SIMD degrades gracefully instead
+//!    of dying.
 //! 2. CPU detection ([`KernelBackend::detect`]): `Simd` wherever the
-//!    intrinsics exist, `Tiled` elsewhere.
+//!    intrinsics exist, `Scalar` elsewhere.
 //!
 //! [`set_active`] overrides the resolved backend at runtime — the serve
 //! wire protocol's optional `backend` field and the cross-backend test
@@ -66,10 +63,8 @@ use std::sync::OnceLock;
 /// The compute-kernel implementations a process can dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// Reference scalar loops (`ikj` order, zero-skip).
+    /// Portable reference loops (`ikj` order, zero-skip).
     Scalar,
-    /// Cache-blocked tiled loops relying on autovectorization.
-    Tiled,
     /// Explicit SIMD intrinsics at the active [`SimdLevel`] for both the
     /// integer and `f32` kernels (fixed-order lane reduction keeps the
     /// float results bit-identical).
@@ -308,18 +303,16 @@ fn resolve_level_from_env() -> SimdLevel {
 }
 
 impl KernelBackend {
-    /// Every backend, in `scalar < tiled < simd` "optimization order".
-    /// Filter with [`KernelBackend::is_available`] (or use
+    /// Every backend, in `scalar < simd` "optimization order". Filter
+    /// with [`KernelBackend::is_available`] (or use
     /// [`KernelBackend::available`]) before dispatching.
-    pub const ALL: [KernelBackend; 3] =
-        [KernelBackend::Scalar, KernelBackend::Tiled, KernelBackend::Simd];
+    pub const ALL: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Simd];
 
     /// Canonical lower-case name, as accepted by [`KernelBackend::parse`],
     /// `DITTO_KERNEL_BACKEND`, and the serve wire protocol.
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Tiled => "tiled",
             KernelBackend::Simd => "simd",
         }
     }
@@ -328,10 +321,10 @@ impl KernelBackend {
     /// level (`simd:avx2`, `simd:sse2`, `simd:neon`). Serve responses and
     /// perfbench rows report this instead of [`KernelBackend::name`] so a
     /// `simd` request that resolved lower is never reported as bare
-    /// `simd`. `Scalar`/`Tiled` resolve to their plain names.
+    /// `simd`. `Scalar` resolves to its plain name.
     pub fn resolved_name(self) -> String {
         match self {
-            KernelBackend::Scalar | KernelBackend::Tiled => self.name().to_string(),
+            KernelBackend::Scalar => self.name().to_string(),
             KernelBackend::Simd => format!("simd:{}", simd_level().name()),
         }
     }
@@ -342,19 +335,18 @@ impl KernelBackend {
     pub fn parse(s: &str) -> Option<KernelBackend> {
         match s.to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelBackend::Scalar),
-            "tiled" => Some(KernelBackend::Tiled),
             "simd" => Some(KernelBackend::Simd),
             _ => None,
         }
     }
 
-    /// Whether this backend can run on the current host. `Scalar` and
-    /// `Tiled` are portable; `Simd` requires a non-`None` *active* SIMD
-    /// level — so `DITTO_SIMD_LEVEL=none` (or `set_simd_level(None)`)
-    /// makes it unavailable even on SIMD-capable silicon.
+    /// Whether this backend can run on the current host. `Scalar` is
+    /// portable; `Simd` requires a non-`None` *active* SIMD level — so
+    /// `DITTO_SIMD_LEVEL=none` (or `set_simd_level(None)`) makes it
+    /// unavailable even on SIMD-capable silicon.
     pub fn is_available(self) -> bool {
         match self {
-            KernelBackend::Scalar | KernelBackend::Tiled => true,
+            KernelBackend::Scalar => true,
             KernelBackend::Simd => simd_level() != SimdLevel::None,
         }
     }
@@ -366,28 +358,26 @@ impl KernelBackend {
     }
 
     /// The best available backend: `Simd` where intrinsics exist (at the
-    /// active level), `Tiled` elsewhere.
+    /// active level), `Scalar` elsewhere.
     pub fn detect() -> KernelBackend {
         if KernelBackend::Simd.is_available() {
             KernelBackend::Simd
         } else {
-            KernelBackend::Tiled
+            KernelBackend::Scalar
         }
     }
 
     fn encode(self) -> u8 {
         match self {
             KernelBackend::Scalar => 1,
-            KernelBackend::Tiled => 2,
-            KernelBackend::Simd => 3,
+            KernelBackend::Simd => 2,
         }
     }
 
     fn decode(v: u8) -> Option<KernelBackend> {
         match v {
             1 => Some(KernelBackend::Scalar),
-            2 => Some(KernelBackend::Tiled),
-            3 => Some(KernelBackend::Simd),
+            2 => Some(KernelBackend::Simd),
             _ => None,
         }
     }
@@ -489,7 +479,7 @@ fn resolve_from_env() -> KernelBackend {
                     let fallback = KernelBackend::detect();
                     warn_once(format!(
                         "[tensor] unknown DITTO_KERNEL_BACKEND `{raw}` \
-                         (expected scalar|tiled|simd|auto); using `{fallback}`"
+                         (expected scalar|simd|auto); using `{fallback}`"
                     ));
                     fallback
                 }
@@ -522,9 +512,6 @@ pub enum DispatchKernel {
     Conv2dDirectF32,
     /// `quant::kernels::int_matmul_with`.
     IntMatmul,
-    /// `quant::kernels::int_conv2d_direct_with` — the integer lowering-free
-    /// direct convolution (row-AXPY SIMD or the scalar reference loop).
-    IntConv2dDirect,
     /// `quant::kernels::delta_matmul_update_with`.
     DeltaMatmulUpdate,
     /// `quant::kernels::attention_delta_scores_with`.
@@ -535,13 +522,12 @@ pub enum DispatchKernel {
 
 impl DispatchKernel {
     /// Every counted kernel, in table order.
-    pub const ALL: [DispatchKernel; 9] = [
+    pub const ALL: [DispatchKernel; 8] = [
         DispatchKernel::MatmulF32,
         DispatchKernel::MatvecF32,
         DispatchKernel::Conv2dF32,
         DispatchKernel::Conv2dDirectF32,
         DispatchKernel::IntMatmul,
-        DispatchKernel::IntConv2dDirect,
         DispatchKernel::DeltaMatmulUpdate,
         DispatchKernel::AttentionDeltaScores,
         DispatchKernel::IntScores,
@@ -555,7 +541,6 @@ impl DispatchKernel {
             DispatchKernel::Conv2dF32 => "conv2d_f32",
             DispatchKernel::Conv2dDirectF32 => "conv2d_direct_f32",
             DispatchKernel::IntMatmul => "int_matmul",
-            DispatchKernel::IntConv2dDirect => "int_conv2d_direct",
             DispatchKernel::DeltaMatmulUpdate => "delta_matmul_update",
             DispatchKernel::AttentionDeltaScores => "attention_delta_scores",
             DispatchKernel::IntScores => "int_scores",
@@ -567,18 +552,18 @@ impl DispatchKernel {
 /// dispatcher pays exactly one relaxed load and one branch.
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
-/// `kernel × backend × simd-level` dispatch counters. Scalar/tiled
-/// dispatches land in the `SimdLevel::None` slot (their level is
-/// irrelevant); `Simd` dispatches land in the slot of the level *resolved
-/// at call time*, so a mid-run `set_simd_level` shows up as separate rows.
-static DISPATCHES: [[[AtomicU64; 4]; 3]; 9] = {
+/// `kernel × backend × simd-level` dispatch counters. Scalar dispatches
+/// land in the `SimdLevel::None` slot (their level is irrelevant); `Simd`
+/// dispatches land in the slot of the level *resolved at call time*, so a
+/// mid-run `set_simd_level` shows up as separate rows.
+static DISPATCHES: [[[AtomicU64; 4]; 2]; 8] = {
     #[allow(clippy::declare_interior_mutable_const)]
     const Z: AtomicU64 = AtomicU64::new(0);
     #[allow(clippy::declare_interior_mutable_const)]
     const L: [AtomicU64; 4] = [Z; 4];
     #[allow(clippy::declare_interior_mutable_const)]
-    const B: [[AtomicU64; 4]; 3] = [L; 3];
-    [B; 9]
+    const B: [[AtomicU64; 4]; 2] = [L; 2];
+    [B; 8]
 };
 
 /// Turns kernel-dispatch counting on or off (the telemetry layer flips
@@ -602,7 +587,7 @@ pub fn count_dispatch(kernel: DispatchKernel, backend: KernelBackend) {
     }
     let level = match backend {
         KernelBackend::Simd => simd_level(),
-        _ => SimdLevel::None,
+        KernelBackend::Scalar => SimdLevel::None,
     };
     DISPATCHES[kernel as usize][backend.encode() as usize - 1][level.encode() as usize - 1]
         .fetch_add(1, Ordering::Relaxed);
@@ -613,7 +598,7 @@ pub fn count_dispatch(kernel: DispatchKernel, backend: KernelBackend) {
 pub struct DispatchCount {
     /// Kernel name (`matmul_f32`, …).
     pub kernel: &'static str,
-    /// Resolved backend label (`scalar`, `tiled`, `simd:avx2`, …).
+    /// Resolved backend label (`scalar`, `simd:avx2`, …).
     pub backend: String,
     /// Cumulative dispatches since process start (or the last reset).
     pub count: u64,
@@ -635,7 +620,7 @@ pub fn dispatch_counts() -> Vec<DispatchCount> {
                 }
                 let label = match backend {
                     KernelBackend::Simd => format!("simd:{}", level.name()),
-                    other => other.name().to_string(),
+                    KernelBackend::Scalar => backend.name().to_string(),
                 };
                 rows.push(DispatchCount { kernel: kernel.name(), backend: label, count: n });
             }
@@ -668,6 +653,7 @@ mod tests {
         }
         assert_eq!(KernelBackend::parse("auto"), None);
         assert_eq!(KernelBackend::parse("warp9"), None);
+        assert_eq!(KernelBackend::parse("tiled"), None);
     }
 
     #[test]
@@ -714,9 +700,8 @@ mod tests {
     #[test]
     fn portable_backends_are_always_available() {
         assert!(KernelBackend::Scalar.is_available());
-        assert!(KernelBackend::Tiled.is_available());
         let avail = KernelBackend::available();
-        assert!(avail.len() >= 2);
+        assert_eq!(avail.first(), Some(&KernelBackend::Scalar));
         assert_eq!(avail.contains(&KernelBackend::Simd), KernelBackend::Simd.is_available());
     }
 
@@ -726,14 +711,13 @@ mod tests {
         if KernelBackend::Simd.is_available() {
             assert_eq!(detected, KernelBackend::Simd);
         } else {
-            assert_eq!(detected, KernelBackend::Tiled);
+            assert_eq!(detected, KernelBackend::Scalar);
         }
     }
 
     #[test]
     fn resolved_names_are_level_qualified() {
         assert_eq!(KernelBackend::Scalar.resolved_name(), "scalar");
-        assert_eq!(KernelBackend::Tiled.resolved_name(), "tiled");
         // Another test in this binary owns (and mutates) the active level,
         // so only assert the shape here: `simd:<parseable level>`.
         let resolved = KernelBackend::Simd.resolved_name();
@@ -752,10 +736,10 @@ mod tests {
             assert_eq!(active(), b);
         }
         if !KernelBackend::Simd.is_available() {
-            set_active(KernelBackend::Tiled).unwrap();
+            set_active(KernelBackend::Scalar).unwrap();
             let err = set_active(KernelBackend::Simd).unwrap_err();
             assert_eq!(err.backend, KernelBackend::Simd);
-            assert_eq!(active(), KernelBackend::Tiled, "failed set must not switch");
+            assert_eq!(active(), KernelBackend::Scalar, "failed set must not switch");
         }
         set_active(initial).unwrap();
 
@@ -772,7 +756,8 @@ mod tests {
                     set_active(KernelBackend::Simd).unwrap_err().backend,
                     KernelBackend::Simd
                 );
-                assert_eq!(KernelBackend::detect(), KernelBackend::Tiled);
+                // No SIMD: detection falls to the scalar floor.
+                assert_eq!(KernelBackend::detect(), KernelBackend::Scalar);
             }
         }
         for l in SimdLevel::ALL {
@@ -806,12 +791,10 @@ mod tests {
         set_dispatch_counting(true);
         assert!(dispatch_counting());
         count_dispatch(DispatchKernel::IntScores, KernelBackend::Scalar);
-        count_dispatch(DispatchKernel::IntScores, KernelBackend::Tiled);
         count_dispatch(DispatchKernel::IntScores, KernelBackend::Simd);
         set_dispatch_counting(false);
         let rows = dispatch_counts();
         assert_eq!(row(&rows, "scalar"), before + 1);
-        assert!(row(&rows, "tiled") >= 1);
         // The Simd row is labeled with the level resolved at call time
         // (`simd:<level>`); another test may flip the level concurrently,
         // so only the label shape is asserted.

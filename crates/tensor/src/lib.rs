@@ -14,8 +14,8 @@
 //!   (group / layer), activations (SiLU, GeLU, softmax), pooling and
 //!   element-wise arithmetic.
 //! * [`backend`] — the pluggable kernel-backend layer
-//!   ([`KernelBackend`]: scalar / tiled / explicit-SIMD) every hot kernel
-//!   dispatches through; all backends are bit-identical, so selection
+//!   ([`KernelBackend`]: scalar / explicit-SIMD) every hot kernel
+//!   dispatches through; both backends are bit-identical, so selection
 //!   (`DITTO_KERNEL_BACKEND`, runtime CPU detection, or the serve wire
 //!   protocol) is purely a performance choice.
 //! * [`stats`] — the statistics the paper's analyses are built on: value

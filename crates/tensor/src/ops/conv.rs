@@ -4,7 +4,7 @@
 //! of two formulations: the lowering-free **direct** path (the portable
 //! sliding-window loop [`conv2d_direct`], or its SIMD strip kernel in
 //! [`super::conv_direct_simd`] on the `Simd` backend), or the **im2col**
-//! path (gather + the tiled matmul, the layout the Ditto hardware operates
+//! path (gather + the matmul kernel, the layout the Ditto hardware operates
 //! on anyway). Pointwise 1×1 convs and gather-bound shapes stay direct;
 //! wide-channel large shapes lower to im2col. The auto heuristic can be
 //! overridden process-wide with `DITTO_CONV_MODE={auto,direct,im2col}`
@@ -176,7 +176,7 @@ pub enum ConvClass {
     /// 1×1 stride-1 unpadded conv: a pure channel mix with no borders —
     /// always direct (the strip kernel flattens the plane to one row).
     DirectPointwise,
-    /// Wide-channel large shapes: lower to im2col + tiled matmul.
+    /// Wide-channel large shapes: lower to im2col + matmul.
     Im2col,
 }
 
@@ -373,8 +373,8 @@ pub fn conv2d(
 
 /// [`conv2d`] on an explicit backend. The shape-class routing is
 /// backend-independent; the backend selects the kernel *inside* each
-/// route (im2col: `Scalar` = streaming order, others = tiled; direct:
-/// `Simd` = strip kernel, others = portable loop), so all backends stay
+/// route (im2col: the backend's matmul kernel; direct: `Simd` = strip
+/// kernel, `Scalar` = portable loop), so both backends stay
 /// bit-identical — including the `-0.0` bias corner the two formulations
 /// differ in (see [`conv2d_im2col`]).
 ///
@@ -510,7 +510,7 @@ pub fn conv2d_direct_into_with(
 /// Runs the direct formulation on the given backend: the `Simd` backend
 /// tries the register-strip kernel ([`super::conv_direct_simd`]), falling
 /// back to the portable loop when the active level has no vector kernel;
-/// `Scalar`/`Tiled` always run the portable loop. All routes are
+/// `Scalar` always runs the portable loop. All routes are
 /// bit-identical — the strip kernel replays the exact reference
 /// accumulation order.
 #[allow(clippy::too_many_arguments)]
@@ -638,7 +638,7 @@ fn conv2d_direct_into(
     }
 }
 
-/// 2-D convolution lowered to im2col + the tiled matmul kernel.
+/// 2-D convolution lowered to im2col + the matmul kernel.
 ///
 /// The `[H_out*W_out, C_in*K*K]` im2col matrix multiplies the transposed
 /// weight `[C_in*K*K, C_out]` into a pixel-major `[H_out*W_out, C_out]`

@@ -2,13 +2,11 @@
 //!
 //! The public entry points ([`matmul`], [`matvec`]) are thin dispatchers
 //! over the process-wide [`crate::backend`] selection. Every backend is
-//! bit-identical: the tiled kernels only *reorder which output rows are
-//! visited when*; for every individual output element the products are
-//! still accumulated in ascending `k` order with the same zero-skip as
-//! the scalar loops, so results are exactly those of the reference
-//! kernels ([`matmul_scalar`], [`matvec_scalar`]) — a requirement
-//! inherited from the Ditto equivalence claim, which rests on exact
-//! accumulator values end to end. The explicit-SIMD backend never
+//! bit-identical: for every individual output element the products are
+//! accumulated in ascending `k` order with the same zero-skip as the
+//! reference kernels ([`matmul_scalar`], [`matvec_scalar`]) — a
+//! requirement inherited from the Ditto equivalence claim, which rests on
+//! exact accumulator values end to end. The explicit-SIMD backend never
 //! *reassociates* `f32` reductions (that would change bits): its kernels
 //! live in [`super::simd`], where each lane is an independent output
 //! element combined with separate correctly rounded `mul`/`add` — never
@@ -19,25 +17,8 @@
 use crate::backend::{self, KernelBackend};
 use crate::{Result, Tensor, TensorError};
 
-/// Rows of the left operand processed together by the tiled kernels. Each
-/// streamed row of `B` is reused `MR` times from L1 instead of being
-/// re-fetched per output row, and the `MR` live output rows (≤ `MR`·n·4
-/// bytes) stay cache-resident across the whole `k` loop.
-pub(crate) const MR: usize = 8;
-
-/// Columns-of-`A` (depth) block. Bounds the slice of `B` rows streamed per
-/// row block to `KC`·n·4 bytes so it survives in L2 across row blocks.
-pub(crate) const KC: usize = 256;
-
-/// `B` element count below which the row-blocked tiling is not worth it:
-/// a `B` this small stays cache-resident across the plain streaming loop,
-/// so blocking only adds loop overhead and a strided `A` access pattern.
-/// Both orders are bit-identical per output element, so this is purely a
-/// performance dispatch.
-pub(crate) const B_ELEMS_BLOCK_THRESHOLD: usize = 1 << 14;
-
-/// Streaming-order (`ikj`) core shared by both compilation contexts of the
-/// small-`B` path: for each output row, dense stretches of the `a` row are
+/// Streaming-order (`ikj`) core of the `Scalar` backend (and of `Simd` at
+/// level `none`): for each output row, dense stretches of the `a` row are
 /// consumed in fused eight- and four-step passes — per output element the
 /// products are still added left-to-right in ascending `k` order, exactly
 /// the sequence of the one-step reference loop, but the output row is
@@ -193,10 +174,9 @@ pub(crate) fn stream_row_tail(
 
 /// Accumulates `a [m,k] × b [k,n]` on top of `out [m,n]` in place on an
 /// explicit backend. `Scalar` runs the reference `ikj` streaming order;
-/// `Tiled` runs the cache-blocked portable order; `Simd` runs the
-/// explicitly vectorized kernels in [`super::simd`] at the active
-/// `SimdLevel` (falling back to the portable tiled path when the level is
-/// `none`). All are bit-identical per output element.
+/// `Simd` runs the explicitly vectorized kernels in [`super::simd`] at the
+/// active `SimdLevel` (falling back to the scalar order when the level is
+/// `none`). Both are bit-identical per output element.
 ///
 /// `out` may carry initial values (zeros for a plain matmul, a broadcast
 /// bias for the im2col convolution path). For each output element the
@@ -222,32 +202,7 @@ pub fn matmul_acc_with(
     if backend == KernelBackend::Simd && super::simd::matmul_acc(out, a, b, m, k, n) {
         return;
     }
-    let scalar = backend == KernelBackend::Scalar;
-    if scalar || k * n <= B_ELEMS_BLOCK_THRESHOLD || m < 2 {
-        // Scalar backend, or small B where the streaming `ikj` order wins
-        // (see threshold doc) on the blocked backends too.
-        stream_acc_body(out, a, b, m, k, n);
-        return;
-    }
-    for ib in (0..m).step_by(MR) {
-        let ie = (ib + MR).min(m);
-        for kb in (0..k).step_by(KC) {
-            let ke = (kb + KC).min(k);
-            for kk in kb..ke {
-                let brow = &b[kk * n..kk * n + n];
-                for i in ib..ie {
-                    let aik = a[i * k + kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let orow = &mut out[i * n..i * n + n];
-                    for j in 0..n {
-                        orow[j] += aik * brow[j];
-                    }
-                }
-            }
-        }
-    }
+    stream_acc_body(out, a, b, m, k, n);
 }
 
 /// Multiplies two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
@@ -291,8 +246,8 @@ pub fn matmul_with(backend: KernelBackend, a: &Tensor, b: &Tensor) -> Result<Ten
     Ok(out)
 }
 
-/// Scalar reference matmul: the pre-tiling `ikj` loop, kept as the ground
-/// truth the tiled kernel is tested (and benchmarked) against.
+/// Scalar reference matmul: the plain one-step `ikj` loop, kept as the
+/// ground truth every backend is tested (and benchmarked) against.
 ///
 /// # Errors
 ///
@@ -328,10 +283,6 @@ pub fn matmul_scalar(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 
 /// Multiplies a rank-2 matrix by a rank-1 vector: `[m, k] × [k] → [m]`.
 ///
-/// Four output rows are computed per pass so the streamed `x` vector is
-/// reused from L1; each row's dot product still accumulates sequentially in
-/// ascending `k` order, matching [`matvec_scalar`] exactly.
-///
 /// # Errors
 ///
 /// Returns a rank or dimension mismatch error as for [`matmul`].
@@ -340,11 +291,10 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
 }
 
 /// [`matvec`] on an explicit backend (`Scalar` runs [`matvec_scalar`]'s
-/// one-row loop; `Tiled` runs the four-row pass; `Simd` runs the
-/// lane-per-row kernel in [`super::simd`], falling back to the four-row
-/// pass when the active level is `none`). Bit-identical for every
-/// backend: each output row's dot product accumulates in ascending `k`
-/// order on all of them.
+/// one-row loop; `Simd` runs the lane-per-row kernel in [`super::simd`],
+/// falling back to the one-row loop when the active level is `none`).
+/// Bit-identical for every backend: each output row's dot product
+/// accumulates in ascending `k` order on both.
 ///
 /// # Errors
 ///
@@ -364,36 +314,16 @@ pub fn matvec_with(backend: KernelBackend, a: &Tensor, x: &Tensor) -> Result<Ten
     let av = a.as_slice();
     let xv = x.as_slice();
     let ov = out.as_mut_slice();
-    if backend == KernelBackend::Simd && super::simd::matvec(ov, av, xv, m, k) {
-        return Ok(out);
-    }
-    let mut i = 0;
-    while i + 4 <= m {
-        let r0 = &av[i * k..(i + 1) * k];
-        let r1 = &av[(i + 1) * k..(i + 2) * k];
-        let r2 = &av[(i + 2) * k..(i + 3) * k];
-        let r3 = &av[(i + 3) * k..(i + 4) * k];
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for (kk, &xk) in xv.iter().enumerate() {
-            a0 += r0[kk] * xk;
-            a1 += r1[kk] * xk;
-            a2 += r2[kk] * xk;
-            a3 += r3[kk] * xk;
+    if !super::simd::matvec(ov, av, xv, m, k) {
+        for i in 0..m {
+            ov[i] = dot(&av[i * k..(i + 1) * k], xv);
         }
-        ov[i] = a0;
-        ov[i + 1] = a1;
-        ov[i + 2] = a2;
-        ov[i + 3] = a3;
-        i += 4;
-    }
-    for i in i..m {
-        ov[i] = dot(&av[i * k..(i + 1) * k], xv);
     }
     Ok(out)
 }
 
 /// Sequential dot product folded from an explicit `0.0` accumulator, so
-/// every matvec path (scalar, tail rows, four-row blocks) shares the same
+/// every matvec path (scalar rows, SIMD remainder rows) shares the same
 /// `-0.0` semantics. (`Iterator::sum` seeds from the first element, which
 /// would make a single `-0.0` product sum to `-0.0` while an accumulator
 /// loop yields `+0.0`.) `pub(crate)` because the explicit-SIMD matvec
@@ -466,9 +396,10 @@ mod tests {
 
     #[test]
     fn tiled_bitwise_matches_scalar() {
-        // Shapes straddling the MR/KC tile boundaries and the
-        // streaming-vs-blocked dispatch threshold (k·n vs 2^14), including
-        // sparse operands that exercise the zero-skip path.
+        // Shapes straddling the active (SIMD) kernel's MR/KC tile
+        // boundaries and its streaming-vs-blocked dispatch threshold (k·n
+        // vs 2^14), including sparse operands that exercise the zero-skip
+        // path.
         let mut rng = Rng::seed_from(11);
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -487,10 +418,10 @@ mod tests {
                 }
             }
             let b = Tensor::randn(&[k, n], &mut rng);
-            let tiled = matmul(&a, &b).unwrap();
+            let got = matmul(&a, &b).unwrap();
             let scalar = matmul_scalar(&a, &b).unwrap();
-            for (x, y) in tiled.as_slice().iter().zip(scalar.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "tiled matmul diverged at {m}x{k}x{n}");
+            for (x, y) in got.as_slice().iter().zip(scalar.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "matmul diverged at {m}x{k}x{n}");
             }
         }
     }
@@ -501,10 +432,10 @@ mod tests {
         for &(m, k) in &[(1, 1), (3, 7), (4, 64), (13, 129), (32, 300)] {
             let a = Tensor::randn(&[m, k], &mut rng);
             let x = Tensor::randn(&[k], &mut rng);
-            let tiled = matvec(&a, &x).unwrap();
+            let got = matvec(&a, &x).unwrap();
             let scalar = matvec_scalar(&a, &x).unwrap();
-            for (x, y) in tiled.as_slice().iter().zip(scalar.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "tiled matvec diverged at {m}x{k}");
+            for (x, y) in got.as_slice().iter().zip(scalar.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "matvec diverged at {m}x{k}");
             }
         }
     }
@@ -521,8 +452,8 @@ mod tests {
             }
             let b = Tensor::randn(&[k, n], &mut rng);
             let x = Tensor::randn(&[k], &mut rng);
-            let want = matmul_with(KernelBackend::Scalar, &a, &b).unwrap();
-            let want_v = matvec_with(KernelBackend::Scalar, &a, &x).unwrap();
+            let want = matmul_scalar(&a, &b).unwrap();
+            let want_v = matvec_scalar(&a, &x).unwrap();
             for backend in KernelBackend::available() {
                 let got = matmul_with(backend, &a, &b).unwrap();
                 for (p, q) in got.as_slice().iter().zip(want.as_slice()) {

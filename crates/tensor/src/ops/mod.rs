@@ -2,11 +2,11 @@
 //!
 //! The hot kernels ([`matmul`], [`matvec`], [`conv2d`]) are thin
 //! dispatchers over the pluggable [`crate::backend`] layer: the scalar
-//! reference loops, the cache-blocked tiled implementations (default
-//! where no SIMD exists), or explicit SIMD. Every backend produces
-//! *exactly* the same results: the per-output-element accumulation order
-//! of the scalar loops is preserved, so the Ditto equivalence claim
-//! (which rests on exact accumulator values) survives the optimization.
+//! reference loops (the floor where no SIMD exists) or explicit SIMD.
+//! Both backends produce *exactly* the same results: the
+//! per-output-element accumulation order of the scalar loops is
+//! preserved, so the Ditto equivalence claim (which rests on exact
+//! accumulator values) survives the optimization.
 //! The scalar references stay available ([`matmul_scalar`],
 //! [`matvec_scalar`], [`conv2d_direct`]) as ground truth for tests and
 //! benchmarks, and the `*_with` variants ([`matmul_with`],

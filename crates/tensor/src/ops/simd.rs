@@ -17,7 +17,7 @@
 //!
 //! The `a`-operand **zero-skip** of the reference kernels is semantic for
 //! `f32` (skipping `0.0 × ∞` or `0.0 × NaN` products, and `+0.0 + -0.0`
-//! corners, changes results), so the sparse paths here mirror the portable
+//! corners, changes results), so the sparse paths here mirror the scalar
 //! guarded passes exactly, and the register-tiled dense kernel is only
 //! entered when `a` contains no zero at all — where skip and no-skip are
 //! the same program.
@@ -28,8 +28,7 @@
 //! vector abstraction (`VecF32`: load/store/splat/mul-then-add/strided
 //! gather) and instantiated per instruction set: AVX2 (8 lanes), SSE2
 //! (4 lanes), and NEON (4 lanes) — the rungs of the
-//! [`crate::backend::SimdLevel`] ladder. Three matmul regimes mirror the
-//! portable dispatch:
+//! [`crate::backend::SimdLevel`] ladder. Three matmul regimes:
 //!
 //! * **dense** (`a` has no zeros — e.g. the compiled-plan conv path, which
 //!   hands the conv *weight* as `a`): an output-stationary register-tiled
@@ -37,22 +36,22 @@
 //!   whole `k` extent, eliminating the per-`k` output traffic that
 //!   dominates the streaming form;
 //! * **streaming** (sparse `a`, small `B` or single row): the guarded
-//!   eight-step pass of the portable kernel with an explicitly vectorized
+//!   eight-step pass of the scalar kernel with an explicitly vectorized
 //!   column loop;
-//! * **blocked** (sparse `a`, large `B`): the `MR`/`KC` cache-blocked loop
+//! * **blocked** (sparse `a`, large `B`): an `MR`/`KC` cache-blocked loop
 //!   nest with a vectorized column loop.
 //!
 //! Dispatch happens on the *active* level ([`crate::backend::simd_level`]),
 //! so forcing `DITTO_SIMD_LEVEL=sse2` on an AVX2 host runs the real SSE2
 //! kernels, and level `none` reports "no kernel" (`false`) and lets the
-//! caller fall back to the portable tiled path.
+//! caller fall back to the scalar loops.
 
 use crate::backend::{self, SimdLevel};
 
 /// Explicit-SIMD `out [m,n] += a [m,k] × b [k,n]` at the active SIMD
 /// level. Returns `false` (leaving `out` untouched) when no kernel exists
 /// for the active level on this architecture — the caller falls back to
-/// the portable path.
+/// the scalar loops.
 pub(crate) fn matmul_acc(
     out: &mut [f32],
     a: &[f32],
@@ -119,7 +118,25 @@ pub(crate) fn matvec(out: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) 
 
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 pub(crate) mod generic {
-    use crate::ops::matmul::{self, B_ELEMS_BLOCK_THRESHOLD, KC, MR};
+    use crate::ops::matmul;
+
+    /// Rows of the left operand processed together by [`blocked_acc`].
+    /// Each streamed row of `B` is reused `MR` times from L1 instead of
+    /// being re-fetched per output row, and the `MR` live output rows stay
+    /// cache-resident across the whole `k` loop.
+    const MR: usize = 8;
+
+    /// Depth block of [`blocked_acc`]: bounds the slice of `B` rows
+    /// streamed per row block to `KC`·n·4 bytes so it survives in L2
+    /// across row blocks.
+    const KC: usize = 256;
+
+    /// `B` element count below which blocking is not worth it: a `B` this
+    /// small stays cache-resident across the plain streaming loop, so
+    /// blocking only adds loop overhead and a strided `A` access pattern.
+    /// Both orders are bit-identical per output element, so this is purely
+    /// a performance dispatch.
+    const B_ELEMS_BLOCK_THRESHOLD: usize = 1 << 14;
 
     /// The minimal vector contract the generic kernels are written
     /// against. All operations are lane-wise; `muladd` must lower to a
@@ -150,9 +167,9 @@ pub(crate) mod generic {
         unsafe fn gather_stride(p: *const f32, stride: usize) -> Self;
     }
 
-    /// Full matmul-accumulate dispatch, mirroring the portable regimes:
-    /// register-tiled when `a` is entirely nonzero, guarded streaming for
-    /// sparse small-`B`/single-row shapes, `MR`/`KC` blocked otherwise.
+    /// Full matmul-accumulate dispatch: register-tiled when `a` is
+    /// entirely nonzero, guarded streaming for sparse small-`B`/single-row
+    /// shapes, `MR`/`KC` blocked otherwise.
     ///
     /// # Safety
     ///
@@ -293,9 +310,9 @@ pub(crate) mod generic {
         }
     }
 
-    /// One streaming output row: the portable kernel's guarded eight-step
+    /// One streaming output row: the scalar kernel's guarded eight-step
     /// head with an explicitly vectorized column loop, falling through to
-    /// the shared portable tail ([`matmul::stream_row_tail`]) at the first
+    /// the shared scalar tail ([`matmul::stream_row_tail`]) at the first
     /// zero (or for `k % 8`), so zero-skip semantics are exactly the
     /// reference's.
     #[inline(always)]
@@ -328,11 +345,11 @@ pub(crate) mod generic {
         matmul::stream_row_tail(orow, arow, b, k, n, kk);
     }
 
-    /// The `MR`/`KC` cache-blocked loop nest of the portable large-`B`
-    /// path with a vectorized column loop. Per output element this is one
-    /// product per non-zero `a[i,kk]` in ascending `k` order (the `kb`
-    /// blocks ascend and `kk` ascends within each block), identical to the
-    /// portable blocked kernel.
+    /// The `MR`/`KC` cache-blocked loop nest of the large-`B` path with a
+    /// vectorized column loop. Per output element this is one product per
+    /// non-zero `a[i,kk]` in ascending `k` order (the `kb` blocks ascend
+    /// and `kk` ascends within each block), identical to the scalar
+    /// streaming order.
     #[inline(always)]
     unsafe fn blocked_acc<V: VecF32>(
         out: &mut [f32],

@@ -10,13 +10,13 @@ use tensor::ops::{self, Conv2dParams};
 use tensor::{stats, KernelBackend, Rng, Tensor};
 
 /// Backend × SIMD-level configurations for the bit-identity matrices: the
-/// portable backends, then the `simd` backend once per hardware-supported
-/// level — including `none`, which exercises the graceful-degradation
-/// seam (simd selected, no kernels available → the tiled path). This is
-/// exactly the sweep the `DITTO_SIMD_LEVEL` override makes CI-testable on
-/// hosts whose native level is higher.
+/// portable `scalar` backend, then the `simd` backend once per
+/// hardware-supported level — including `none`, which exercises the
+/// graceful-degradation seam (simd selected, no kernels available → the
+/// scalar loops). This is exactly the sweep the `DITTO_SIMD_LEVEL`
+/// override makes CI-testable on hosts whose native level is higher.
 fn backend_level_matrix() -> Vec<(KernelBackend, Option<SimdLevel>)> {
-    let mut configs = vec![(KernelBackend::Scalar, None), (KernelBackend::Tiled, None)];
+    let mut configs = vec![(KernelBackend::Scalar, None)];
     for level in available_simd_levels() {
         configs.push((KernelBackend::Simd, Some(level)));
     }
@@ -56,14 +56,14 @@ proptest! {
         prop_assert!(approx_eq(&lhs, &rhs, 1e-4));
     }
 
-    /// The f32 kernels are bit-identical on every available backend at
-    /// every available SIMD level (the explicit-SIMD kernels keep f32
-    /// reductions in the scalar fixed order, so even they must not move
-    /// a single bit). Shape ranges straddle the lane boundaries: `n`
-    /// below one vector width, between one and two, and past the 2-vector
-    /// register tile; `k` across the 8-step streaming guard and odd
-    /// remainders. `zero_pct == 0` drives the dense register path (randn
-    /// essentially never emits exact 0.0).
+    /// The f32 kernels are bit-identical to the scalar references on every
+    /// available backend at every available SIMD level (the explicit-SIMD
+    /// kernels keep f32 reductions in the scalar fixed order, so even they
+    /// must not move a single bit). Shape ranges straddle the lane
+    /// boundaries: `n` below one vector width, between one and two, and
+    /// past the 2-vector register tile; `k` across the 8-step streaming
+    /// guard and odd remainders. `zero_pct == 0` drives the dense register
+    /// path (randn essentially never emits exact 0.0).
     #[test]
     fn backend_matrix_is_bit_identical(
         m in 1usize..10, k in 1usize..40, n in 1usize..24,
@@ -78,8 +78,8 @@ proptest! {
         }
         let b = Tensor::randn(&[k, n], &mut rng);
         let x = Tensor::randn(&[k], &mut rng);
-        let want = ops::matmul_with(KernelBackend::Scalar, &a, &b).unwrap();
-        let want_v = ops::matvec_with(KernelBackend::Scalar, &a, &x).unwrap();
+        let want = ops::matmul_scalar(&a, &b).unwrap();
+        let want_v = ops::matvec_scalar(&a, &x).unwrap();
         for (backend, level) in backend_level_matrix() {
             if let Some(level) = level {
                 set_simd_level(level).unwrap();
@@ -214,8 +214,9 @@ proptest! {
         }
     }
 
-    /// The tiled matmul is bit-identical to the scalar reference on random
-    /// shapes straddling the tile boundaries, including sparse operands.
+    /// The active backend's tiled matmul is bit-identical to the scalar
+    /// reference on random shapes straddling the tile boundaries,
+    /// including sparse operands.
     #[test]
     fn tiled_matmul_bitwise_equals_scalar(
         m in 1usize..20, k in 1usize..40, n in 1usize..20, seed in 0u64..1000
@@ -226,9 +227,9 @@ proptest! {
             if rng.next_f64() < 0.25 { *v = 0.0; }
         }
         let b = Tensor::randn(&[k, n], &mut rng);
-        let tiled = ops::matmul(&a, &b).unwrap();
+        let got = ops::matmul(&a, &b).unwrap();
         let scalar = ops::matmul_scalar(&a, &b).unwrap();
-        for (x, y) in tiled.as_slice().iter().zip(scalar.as_slice()) {
+        for (x, y) in got.as_slice().iter().zip(scalar.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
         let x = Tensor::randn(&[k], &mut rng);

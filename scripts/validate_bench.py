@@ -96,9 +96,8 @@ def check_kernels(new, base):
         fail(f"conv_shapes {conv_classes} != baseline {base_classes}")
     if not set(conv_classes.values()) <= {"direct_small", "direct_pointwise", "im2col"}:
         fail(f"unknown conv class in {sorted(set(conv_classes.values()))}")
-    for portable in ("scalar", "tiled"):
-        if portable not in new["backends"]:
-            fail(f"the {portable} backend must always be measured")
+    if "scalar" not in new["backends"]:
+        fail("the scalar backend must always be measured")
     # Coverage: every (kernel, shape) pair the baseline measured must be
     # measured for every backend the *new* run reports. Backends come from
     # the new document because the SIMD-level rows are host-dependent (a
@@ -118,20 +117,17 @@ def check_kernels(new, base):
         by_pair[(r["kernel"], r["shape"], r["backend"])] = r["gflops"]
     for i, r in enumerate(new["results"]):
         sane(r["gflops"], f"results[{i}].gflops", 1e-3, 1e5)
-        # The speedup columns are derived, so recompute them: baselines
-        # are same-document rows and the JSON numbers round-trip exactly
+        # The speedup column is derived, so recompute it: the baseline is a
+        # same-document row and the JSON numbers round-trip exactly
         # (shortest-representation float printing), so a tight relative
         # tolerance only absorbs the division itself.
-        for column, baseline in (("speedup_vs_scalar", "scalar"), ("speedup_vs_tiled", "tiled")):
-            speedup = r[column]
-            sane(speedup, f"results[{i}].{column}", 1e-3, 1e4)
-            want_speedup = r["gflops"] / by_pair[(r["kernel"], r["shape"], baseline)]
-            if abs(speedup - want_speedup) > 1e-9 * want_speedup:
-                fail(
-                    f"results[{i}]: {column} {speedup} != recomputed {want_speedup}"
-                )
-            if r["backend"] == baseline and speedup != 1.0:
-                fail(f"results[{i}]: {baseline} {column} must be exactly 1.0")
+        speedup = r["speedup_vs_scalar"]
+        sane(speedup, f"results[{i}].speedup_vs_scalar", 1e-3, 1e4)
+        want_speedup = r["gflops"] / by_pair[(r["kernel"], r["shape"], "scalar")]
+        if abs(speedup - want_speedup) > 1e-9 * want_speedup:
+            fail(f"results[{i}]: speedup_vs_scalar {speedup} != recomputed {want_speedup}")
+        if r["backend"] == "scalar" and speedup != 1.0:
+            fail(f"results[{i}]: scalar speedup_vs_scalar must be exactly 1.0")
         # Conv rows additionally carry the dispatch class (must agree with
         # the conv_shapes table) and the direct-vs-lowered speedup column,
         # whose baseline is the same shape+backend's forced-im2col row.
@@ -243,7 +239,7 @@ def main():
         new = json.load(f)
     with open(sys.argv[2]) as f:
         base = json.load(f)
-    if new.get("schema") != "ditto-perfbench/1":
+    if new.get("schema") != "ditto-perfbench/2":
         fail(f"unknown schema {new.get('schema')!r}")
     if new.get("kind") != base.get("kind"):
         fail(f"kind {new.get('kind')!r} != baseline {base.get('kind')!r}")

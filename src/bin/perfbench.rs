@@ -62,7 +62,7 @@ use tensor::{KernelBackend, Rng, Tensor};
 
 /// Schema tag stamped into both documents (bump on breaking changes; the
 /// CI validator pins it).
-const SCHEMA: &str = "ditto-perfbench/1";
+const SCHEMA: &str = "ditto-perfbench/2";
 
 /// The measured shapes: the delta-update bench shape plus the two UNet
 /// im2col shapes (`[H·W, C_in·K²] × [C_in·K², C_out]`) the Small-scale
@@ -179,8 +179,8 @@ fn sparse_deltas(n: usize, rng: &mut Rng) -> Vec<i16> {
 }
 
 /// One measured point, pre-derivation. The speedup columns are computed
-/// once all rows exist (the tiled baseline for a shape may be measured
-/// after a SIMD level on a re-ordered config list).
+/// once all rows exist (a baseline row for a shape may be measured after
+/// the row it normalizes).
 struct KernelRow {
     kernel: &'static str,
     shape: String,
@@ -190,16 +190,13 @@ struct KernelRow {
     class: Option<&'static str>,
 }
 
-/// The measured backend configurations: the two portable backends at the
-/// hardware SIMD level, then the `simd` backend once per *available*
+/// The measured backend configurations: the portable `scalar` backend at
+/// the hardware SIMD level, then the `simd` backend once per *available*
 /// SIMD level (so an AVX2 host also measures and commits the SSE2 rows).
 /// Labels are resolved names (`simd:avx2`), matching the serve protocol.
 fn kernel_configs() -> Vec<(KernelBackend, SimdLevel, String)> {
     let hw = hw_simd_level();
-    let mut configs = vec![
-        (KernelBackend::Scalar, hw, "scalar".to_string()),
-        (KernelBackend::Tiled, hw, "tiled".to_string()),
-    ];
+    let mut configs = vec![(KernelBackend::Scalar, hw, "scalar".to_string())];
     for lvl in available_simd_levels() {
         if lvl != SimdLevel::None {
             configs.push((KernelBackend::Simd, lvl, format!("simd:{lvl}")));
@@ -462,7 +459,7 @@ fn bench_kernels(min_ms: u64) -> Value {
         }
     }
     set_simd_level(hw_simd_level()).expect("hardware level is always available");
-    // Derive the speedup columns against the portable baselines measured
+    // Derive the speedup columns against the scalar baselines measured
     // for the same (kernel, shape).
     let baseline = |kernel: &str, shape: &str, backend: &str| {
         rows.iter()
@@ -482,12 +479,11 @@ fn bench_kernels(min_ms: u64) -> Value {
                     "speedup_vs_scalar",
                     Value::Num(r.gflops / baseline(r.kernel, &r.shape, "scalar")),
                 ),
-                ("speedup_vs_tiled", Value::Num(r.gflops / baseline(r.kernel, &r.shape, "tiled"))),
             ];
             if let Some(class) = r.class {
                 // Conv rows: dispatch class plus the direct-vs-im2col
                 // ratio against the forced-im2col row measured on the
-                // *same* backend config (not the portable baselines).
+                // *same* backend config (not the scalar baseline).
                 fields.push(("class", Value::Str(class.to_string())));
                 fields.push((
                     "speedup_vs_im2col",

@@ -13,13 +13,13 @@ use ditto_core::runner::{trace_model, ExecPolicy};
 use ditto_core::trace::WorkloadTrace;
 use tensor::backend::{self, KernelBackend, SimdLevel};
 
-/// The swept configurations: both portable backends at the hardware SIMD
-/// level, then the `simd` backend once per hardware-supported level
+/// The swept configurations: the portable `scalar` backend at the hardware
+/// SIMD level, then the `simd` backend once per hardware-supported level
 /// (skipping `none`, where `set_active(Simd)` rightly refuses) — the same
 /// ladder sweep the `DITTO_SIMD_LEVEL` override exposes to CI.
 fn backend_level_matrix() -> Vec<(KernelBackend, SimdLevel)> {
     let hw = backend::hw_simd_level();
-    let mut configs = vec![(KernelBackend::Scalar, hw), (KernelBackend::Tiled, hw)];
+    let mut configs = vec![(KernelBackend::Scalar, hw)];
     for level in backend::available_simd_levels() {
         if level != SimdLevel::None {
             configs.push((KernelBackend::Simd, level));
